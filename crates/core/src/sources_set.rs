@@ -5,18 +5,18 @@
 //! [`SourceFanout`] is the pipeline's only way to *call* them: every
 //! search goes through a per-source [`SourceClient`] (timeout, bounded
 //! retry with deterministic backoff, circuit breaker) over a shared
-//! [`NetworkSim`], and the ASN stage and the name/domain stage each fan
-//! out on `std::thread::scope`, one thread per source, with order-stable
-//! collection. The pipeline consumes typed [`SourceOutcome`]s, so "the
-//! source had nothing" and "the source was unavailable" stay distinct —
-//! the §3.5 partial-coverage consensus runs on whatever subset answered,
-//! and the unavailable subset is surfaced as `degraded`.
+//! [`NetworkSim`], and the ASN stage and the name/domain stage each call
+//! their sources one after another, collecting outcomes in a fixed order.
+//! The pipeline consumes typed [`SourceOutcome`]s, so "the source had
+//! nothing" and "the source was unavailable" stay distinct — the §3.5
+//! partial-coverage consensus runs on whatever subset answered, and the
+//! unavailable subset is surfaced as `degraded`.
 //!
 //! Determinism: each source has its own logical clock inside the sim and
 //! the stages touch disjoint source subsets, so outcomes do not depend on
-//! thread interleaving — equal seeds replay equal faults — and with
-//! faults disabled the layer is transparent (same matches as a direct
-//! `search` loop).
+//! the order of calls or on other batch workers — equal seeds replay equal
+//! faults — and with faults disabled the layer is transparent (same
+//! matches as a direct `search` loop).
 
 use crate::metrics::PipelineMetrics;
 use asdb_model::{Asn, Domain, WorldSeed};
@@ -204,11 +204,10 @@ impl SourceFanout {
         &self.clients[i]
     }
 
-    /// Issue one query to each of `ids`, one scoped thread per source, and
-    /// collect outcomes in `ids` order regardless of completion order.
-    /// Transport accounting (queries, retries, timeouts, failures, breaker
-    /// sheds) is recorded here, at call time; match/reject resolution
-    /// happens later in [`SourceFanout::resolve`].
+    /// Issue one query to each of `ids`, in `ids` order, and collect the
+    /// outcomes in that order. Transport accounting (queries, retries,
+    /// timeouts, failures, breaker sheds) is recorded here, at call time;
+    /// match/reject resolution happens later in [`SourceFanout::resolve`].
     fn calls(
         &self,
         sources: &SourceSet,
@@ -216,31 +215,26 @@ impl SourceFanout {
         query: &Query,
         metrics: &PipelineMetrics,
     ) -> Vec<SourceOutcome> {
-        let run = |id: SourceId| -> SourceOutcome {
-            let source = sources.get(id).expect("ASdb-five source present");
-            let out = self
-                .client(id)
-                .call(&self.config.transport, &self.sim, source, query);
-            metrics.record_source_outcome(&out);
-            out
-        };
         let t = std::time::Instant::now();
-        let run = &run;
-        let outcomes = std::thread::scope(|scope| {
-            let handles: Vec<_> = ids.iter().map(|id| scope.spawn(move || run(*id))).collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
-                .collect()
-        });
+        let outcomes = ids
+            .iter()
+            .map(|&id| {
+                let source = sources.get(id).expect("ASdb-five source present");
+                let out = self
+                    .client(id)
+                    .call(&self.config.transport, &self.sim, source, query);
+                metrics.record_source_outcome(&out);
+                out
+            })
+            .collect();
         metrics.record_fanout(t.elapsed());
         outcomes
     }
 
-    /// Stage 1: query the ASN-indexed sources (PeeringDB, IPinfo)
-    /// in parallel. PeeringDB's network type is only consulted when its
-    /// call succeeded — a degraded PeeringDB disables the shortcut rather
-    /// than silently answering from data the transport never delivered.
+    /// Stage 1: query the ASN-indexed sources (PeeringDB, IPinfo).
+    /// PeeringDB's network type is only consulted when its call succeeded
+    /// — a degraded PeeringDB disables the shortcut rather than silently
+    /// answering from data the transport never delivered.
     pub fn stage1(&self, sources: &SourceSet, asn: Asn, metrics: &PipelineMetrics) -> Stage1 {
         let outcomes = self.calls(sources, &STAGE1, &Query::by_asn(asn), metrics);
         let network_type = if outcomes[0].is_degraded() {
@@ -256,10 +250,9 @@ impl SourceFanout {
         }
     }
 
-    /// Stage 3: query the web sources (D&B, Crunchbase, Zvelo)
-    /// in parallel, merge with the stage-1 outcomes into stable
-    /// [`SourceId::ASDB_FIVE`] order, and resolve everything against the
-    /// match policy.
+    /// Stage 3: query the web sources (D&B, Crunchbase, Zvelo), merge with
+    /// the stage-1 outcomes into stable [`SourceId::ASDB_FIVE`] order, and
+    /// resolve everything against the match policy.
     pub fn stage3(
         &self,
         sources: &SourceSet,

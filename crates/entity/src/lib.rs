@@ -25,4 +25,4 @@ pub mod domain_select;
 pub mod similarity;
 
 pub use domain_select::{select_domain, DomainCandidates, DomainStrategy};
-pub use similarity::{jaro, jaro_winkler, name_similarity, token_jaccard};
+pub use similarity::{jaro, jaro_winkler, name_similarity, token_jaccard, NormName};

@@ -3,12 +3,20 @@
 //! All scores are in `[0, 1]`, higher = more similar. `name_similarity` is
 //! the workhorse: a blend of character-level Jaro–Winkler and token-set
 //! Jaccard over normalized organization names, tolerant of the legal-suffix
-//! and word-order noise typical of WHOIS.
+//! and word-order noise typical of WHOIS. [`NormName`] normalizes a name
+//! once and bounds a score cheaply, for searches that score one name
+//! against many.
 
 /// Jaro similarity between two strings (by Unicode scalar values).
 pub fn jaro(a: &str, b: &str) -> f64 {
     let a: Vec<char> = a.chars().collect();
     let b: Vec<char> = b.chars().collect();
+    jaro_chars(&a, &b)
+}
+
+/// Jaro similarity over char slices: the core [`jaro`] and [`NormName`]
+/// share.
+fn jaro_chars(a: &[char], b: &[char]) -> f64 {
     if a.is_empty() && b.is_empty() {
         return 1.0;
     }
@@ -17,8 +25,7 @@ pub fn jaro(a: &str, b: &str) -> f64 {
     }
     let window = (a.len().max(b.len()) / 2).saturating_sub(1);
     let mut b_taken = vec![false; b.len()];
-    let mut matches_a: Vec<char> = Vec::new();
-    let mut match_positions_b: Vec<usize> = Vec::new();
+    let mut matches_a: Vec<char> = Vec::with_capacity(a.len().min(b.len()));
     for (i, &ca) in a.iter().enumerate() {
         let lo = i.saturating_sub(window);
         let hi = (i + window + 1).min(b.len());
@@ -26,7 +33,6 @@ pub fn jaro(a: &str, b: &str) -> f64 {
             if !b_taken[j] && b[j] == ca {
                 b_taken[j] = true;
                 matches_a.push(ca);
-                match_positions_b.push(j);
                 break;
             }
         }
@@ -35,12 +41,12 @@ pub fn jaro(a: &str, b: &str) -> f64 {
     if m == 0 {
         return 0.0;
     }
-    // Transpositions: compare matched sequences in order.
-    let mut b_matches: Vec<(usize, char)> = match_positions_b.iter().map(|&j| (j, b[j])).collect();
-    b_matches.sort_by_key(|(j, _)| *j);
+    // Transpositions: compare the matched sequences, each in its own
+    // string's order.
+    let matches_b = b.iter().zip(&b_taken).filter(|(_, &t)| t).map(|(c, _)| c);
     let t = matches_a
         .iter()
-        .zip(b_matches.iter().map(|(_, c)| c))
+        .zip(matches_b)
         .filter(|(x, y)| x != y)
         .count() as f64
         / 2.0;
@@ -48,66 +54,194 @@ pub fn jaro(a: &str, b: &str) -> f64 {
     (m / a.len() as f64 + m / b.len() as f64 + (m - t) / m) / 3.0
 }
 
+/// Length of the common prefix Winkler boosts, capped at 4 chars.
+fn winkler_prefix(a: &[char], b: &[char]) -> f64 {
+    a.iter().zip(b).take(4).take_while(|(x, y)| x == y).count() as f64
+}
+
 /// Jaro–Winkler: Jaro boosted for a shared prefix (up to 4 chars, standard
 /// scaling 0.1).
 pub fn jaro_winkler(a: &str, b: &str) -> f64 {
-    let j = jaro(a, b);
-    let prefix = a
-        .chars()
-        .zip(b.chars())
-        .take(4)
-        .take_while(|(x, y)| x == y)
-        .count() as f64;
+    let a: Vec<char> = a.chars().collect();
+    let b: Vec<char> = b.chars().collect();
+    winkler(jaro_chars(&a, &b), winkler_prefix(&a, &b))
+}
+
+fn winkler(j: f64, prefix: f64) -> f64 {
     j + prefix * 0.1 * (1.0 - j)
 }
 
 /// Jaccard similarity of lowercase alphanumeric token sets.
 pub fn token_jaccard(a: &str, b: &str) -> f64 {
-    let ta = tokens(a);
-    let tb = tokens(b);
-    if ta.is_empty() && tb.is_empty() {
-        return 1.0;
-    }
-    if ta.is_empty() || tb.is_empty() {
-        return 0.0;
-    }
-    let inter = ta.intersection(&tb).count() as f64;
-    let union = ta.union(&tb).count() as f64;
-    inter / union
+    token_terms(&tokens(a), &tokens(b)).0
 }
 
-fn tokens(s: &str) -> std::collections::BTreeSet<String> {
-    s.split(|c: char| !c.is_alphanumeric())
+/// The sorted, deduplicated lowercase alphanumeric tokens of a name.
+fn tokens(s: &str) -> Vec<String> {
+    let set: std::collections::BTreeSet<String> = s
+        .split(|c: char| !c.is_alphanumeric())
         .filter(|t| t.len() >= 2)
         .map(str::to_lowercase)
         // Legal suffixes carry no identity: "Acme Corp" vs "Zenith Corp"
         // share nothing that matters.
         .filter(|t| !asdb_model::org::LEGAL_SUFFIXES.contains(&t.as_str()))
-        .collect()
+        .collect();
+    set.into_iter().collect()
+}
+
+/// Token-set Jaccard and the subset bonus of two sorted, deduplicated
+/// token sets, from one merge walk.
+fn token_terms(a: &[String], b: &[String]) -> (f64, f64) {
+    if a.is_empty() && b.is_empty() {
+        return (1.0, 0.0);
+    }
+    if a.is_empty() || b.is_empty() {
+        return (0.0, 0.0);
+    }
+    let (mut i, mut j, mut inter) = (0, 0, 0usize);
+    while i < a.len() && j < b.len() {
+        match a[i].cmp(&b[j]) {
+            std::cmp::Ordering::Less => i += 1,
+            std::cmp::Ordering::Greater => j += 1,
+            std::cmp::Ordering::Equal => {
+                inter += 1;
+                i += 1;
+                j += 1;
+            }
+        }
+    }
+    let union = a.len() + b.len() - inter;
+    // One name's tokens a subset of the other's: abbreviations and
+    // dropped words.
+    let subset_bonus = if inter == a.len() || inter == b.len() {
+        0.85
+    } else {
+        0.0
+    };
+    (inter as f64 / union as f64, subset_bonus)
+}
+
+/// The combined score from its three terms. Character-level similarity
+/// alone is unreliable for unrelated names (Jaro–Winkler sits near 0.5 for
+/// random English phrases), so it is discounted when the names share no
+/// tokens at all.
+fn blend(jw: f64, jaccard: f64, subset_bonus: f64) -> f64 {
+    let jw_weighted = if jaccard > 0.0 { jw } else { jw * 0.75 };
+    jw_weighted.max(jaccard).max(subset_bonus)
+}
+
+/// Histogram buckets for the Jaro match-count bound.
+const BUCKETS: usize = 64;
+
+/// Slack under which a bound still counts as reaching a floor, so float
+/// rounding in the bound can never prune a tie.
+const BOUND_SLACK: f64 = 1e-9;
+
+fn bucket(c: char) -> usize {
+    match c {
+        'a'..='z' => c as usize - 'a' as usize,
+        '0'..='9' => 26 + (c as usize - '0' as usize),
+        _ => 36 + c as usize % (BUCKETS - 36),
+    }
+}
+
+/// An organization name normalized once for repeated scoring: its
+/// lowercased chars, its sorted, deduplicated token set and a char-count
+/// histogram. [`NormName::similarity`] equals [`name_similarity`] of the
+/// two original strings bit for bit.
+#[derive(Debug, Clone)]
+pub struct NormName {
+    chars: Vec<char>,
+    tokens: Vec<String>,
+    /// Chars per bucket, saturating at `u8::MAX`.
+    hist: [u8; BUCKETS],
+}
+
+impl NormName {
+    /// Normalize a name.
+    pub fn new(name: &str) -> NormName {
+        let lower = name.to_lowercase();
+        let chars: Vec<char> = lower.chars().collect();
+        let mut hist = [0u8; BUCKETS];
+        for &c in &chars {
+            let n = &mut hist[bucket(c)];
+            *n = n.saturating_add(1);
+        }
+        NormName {
+            chars,
+            tokens: tokens(&lower),
+            hist,
+        }
+    }
+
+    /// The combined name similarity (see [`name_similarity`]).
+    pub fn similarity(&self, other: &NormName) -> f64 {
+        let (jaccard, subset_bonus) = token_terms(&self.tokens, &other.tokens);
+        blend(self.jaro_winkler(other), jaccard, subset_bonus)
+    }
+
+    /// An upper bound on [`NormName::similarity`] that skips the Jaro
+    /// matching: the token terms are exact, and the Jaro match count is
+    /// bounded by the histogram overlap with no transpositions.
+    pub fn similarity_bound(&self, other: &NormName) -> f64 {
+        let (jaccard, subset_bonus) = token_terms(&self.tokens, &other.tokens);
+        blend(self.jaro_winkler_bound(other), jaccard, subset_bonus)
+    }
+
+    /// The similarity, or `None` when its upper bound proves it falls
+    /// below `floor`. A score at or above `floor` is always returned.
+    pub fn similarity_at_least(&self, other: &NormName, floor: f64) -> Option<f64> {
+        (self.similarity_bound(other) + BOUND_SLACK >= floor).then(|| self.similarity(other))
+    }
+
+    fn jaro_winkler(&self, other: &NormName) -> f64 {
+        winkler(
+            jaro_chars(&self.chars, &other.chars),
+            winkler_prefix(&self.chars, &other.chars),
+        )
+    }
+
+    /// Jaro–Winkler with the match count `m` replaced by
+    /// `Σ min(hist_a, hist_b)` (equal chars share a bucket, so `m` cannot
+    /// exceed it) and no transpositions; the prefix is exact. A bucket
+    /// saturated on both sides may hold any count, so it contributes the
+    /// whole length, and the sum is capped by `m ≤ min(len_a, len_b)`.
+    fn jaro_winkler_bound(&self, other: &NormName) -> f64 {
+        let (la, lb) = (self.chars.len(), other.chars.len());
+        let jaro = if la == 0 || lb == 0 {
+            jaro_chars(&self.chars, &other.chars)
+        } else {
+            let overlap = self
+                .hist
+                .iter()
+                .zip(&other.hist)
+                .map(|(&x, &y)| {
+                    if x == u8::MAX && y == u8::MAX {
+                        la
+                    } else {
+                        usize::from(x.min(y))
+                    }
+                })
+                .sum::<usize>()
+                .min(la.min(lb));
+            if overlap == 0 {
+                0.0
+            } else {
+                let m = overlap as f64;
+                (m / la as f64 + m / lb as f64 + 1.0) / 3.0
+            }
+        };
+        winkler(jaro, winkler_prefix(&self.chars, &other.chars))
+    }
 }
 
 /// Combined organization-name similarity: the max of token-set Jaccard and
 /// whole-string Jaro–Winkler over lowercased input, with a partial-credit
 /// boost when one name's tokens are a subset of the other's (abbreviations,
-/// dropped suffixes).
+/// dropped suffixes). Scoring one name against many is cheaper through
+/// [`NormName`].
 pub fn name_similarity(a: &str, b: &str) -> f64 {
-    let la = a.to_lowercase();
-    let lb = b.to_lowercase();
-    let jw = jaro_winkler(&la, &lb);
-    let jac = token_jaccard(&la, &lb);
-    let ta = tokens(&la);
-    let tb = tokens(&lb);
-    let subset_bonus =
-        if !ta.is_empty() && !tb.is_empty() && (ta.is_subset(&tb) || tb.is_subset(&ta)) {
-            0.85
-        } else {
-            0.0
-        };
-    // Character-level similarity alone is unreliable for unrelated names
-    // (Jaro–Winkler sits near 0.5 for random English phrases), so discount
-    // it when the names share no tokens at all.
-    let jw_weighted = if jac > 0.0 { jw } else { jw * 0.75 };
-    jw_weighted.max(jac).max(subset_bonus)
+    NormName::new(a).similarity(&NormName::new(b))
 }
 
 #[cfg(test)]
@@ -166,6 +300,17 @@ mod tests {
         let right = name_similarity(as_name, "Acmenet Communications — fiber and broadband");
         let wrong = name_similarity(as_name, "Gmail — email from Google");
         assert!(right > wrong);
+    }
+
+    #[test]
+    fn bound_holds_past_histogram_saturation() {
+        let long = "a".repeat(300);
+        for other in ["a".repeat(280), "a".repeat(100), "ab".repeat(200)] {
+            let (x, y) = (NormName::new(&long), NormName::new(&other));
+            let score = x.similarity(&y);
+            assert_eq!(score.to_bits(), name_similarity(&long, &other).to_bits());
+            assert!(x.similarity_bound(&y) >= score, "{}", other.len());
+        }
     }
 
     #[test]

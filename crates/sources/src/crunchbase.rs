@@ -123,6 +123,11 @@ impl Crunchbase {
     pub fn is_empty(&self) -> bool {
         self.registry.is_empty()
     }
+
+    /// The listing its searches run on.
+    pub fn registry(&self) -> &BusinessRegistry {
+        &self.registry
+    }
 }
 
 impl DataSource for Crunchbase {
@@ -152,10 +157,8 @@ impl DataSource for Crunchbase {
         // Tokenized-name query: demands near-exact token overlap, which is
         // what makes it 95% precise but low-coverage.
         let name = query.name.as_deref()?;
-        let (entry, score) = self.registry.best_name_match(name)?;
-        (score >= 0.82)
-            .then(|| self.lookup_org(entry.org))
-            .flatten()
+        let (entry, _) = self.registry.best_name_match_at_least(name, 0.82)?;
+        self.lookup_org(entry.org)
     }
 }
 

@@ -52,6 +52,11 @@ impl Dnb {
         self.registry.is_empty()
     }
 
+    /// The listing its searches run on.
+    pub fn registry(&self) -> &BusinessRegistry {
+        &self.registry
+    }
+
     /// Match quality → confidence code, with ±1 editorial noise. The
     /// mapping is deliberately steep near the top: only near-exact,
     /// unambiguous matches reach codes 9–10, and the sub-0.7 quality zone

@@ -3,7 +3,7 @@
 //! confusion, and similarity-based search.
 
 use crate::profile::SourceProfile;
-use asdb_entity::name_similarity;
+use asdb_entity::NormName;
 use asdb_model::{Domain, OrgId, WorldSeed};
 use asdb_taxonomy::naicslite::known;
 use asdb_taxonomy::translate::{naics_candidates, naics_to_naicslite};
@@ -35,6 +35,8 @@ pub struct RegistryEntry {
 #[derive(Debug, Clone, Default)]
 pub struct BusinessRegistry {
     entries: Vec<RegistryEntry>,
+    /// Each entry's listed name, normalized once at build time.
+    names: Vec<NormName>,
     by_org: HashMap<OrgId, usize>,
     by_domain: HashMap<Domain, usize>,
 }
@@ -56,6 +58,7 @@ impl BusinessRegistry {
             }
             let (raw_label, categories) = label(org, &mut rng);
             let idx = reg.entries.len();
+            reg.names.push(NormName::new(org.legal_name.as_str()));
             reg.entries.push(RegistryEntry {
                 org: org.id,
                 listed_name: org.legal_name.as_str().to_owned(),
@@ -94,21 +97,46 @@ impl BusinessRegistry {
             .map(|&i| &self.entries[i])
     }
 
-    /// Best name match with its similarity score (linear scan; registries
-    /// hold a few thousand entries).
+    /// Best name match with its similarity score; the first entry wins a
+    /// tie.
     pub fn best_name_match(&self, name: &str) -> Option<(&RegistryEntry, f64)> {
-        self.best_two_name_match(name).map(|(e, s, _)| (e, s))
+        self.best_name_match_at_least(name, 0.0)
+    }
+
+    /// The entry [`BusinessRegistry::best_name_match`] returns, when its
+    /// score is at least `min`; `None` otherwise. Entries whose score bound
+    /// falls below `min`, or below the best so far (which is `≥ min`), are
+    /// skipped unscored.
+    pub fn best_name_match_at_least(&self, name: &str, min: f64) -> Option<(&RegistryEntry, f64)> {
+        let query = NormName::new(name);
+        let mut best: Option<(usize, f64)> = None;
+        for (i, listed) in self.names.iter().enumerate() {
+            let floor = best.map_or(min, |(_, bs)| bs);
+            let Some(s) = query.similarity_at_least(listed, floor) else {
+                continue;
+            };
+            if s >= min && best.map_or(true, |(_, bs)| s > bs) {
+                best = Some((i, s));
+            }
+        }
+        best.map(|(i, s)| (&self.entries[i], s))
     }
 
     /// Best name match plus the runner-up's score — the margin between the
     /// two is the matching engine's ambiguity signal ("there is no control
     /// over which company is chosen if multiple companies share the same
-    /// name", §3.5; ambiguous matches get low confidence codes).
+    /// name", §3.5; ambiguous matches get low confidence codes). Entries
+    /// whose score bound falls below the runner-up are skipped: they can
+    /// change neither score. Scores are never negative, so nothing is
+    /// skipped before a runner-up scores above 0.
     pub fn best_two_name_match(&self, name: &str) -> Option<(&RegistryEntry, f64, f64)> {
+        let query = NormName::new(name);
         let mut best: Option<(usize, f64)> = None;
         let mut second: f64 = 0.0;
-        for (i, e) in self.entries.iter().enumerate() {
-            let s = name_similarity(name, &e.listed_name);
+        for (i, listed) in self.names.iter().enumerate() {
+            let Some(s) = query.similarity_at_least(listed, second) else {
+                continue;
+            };
             match best {
                 Some((_, bs)) if bs >= s => {
                     if s > second {

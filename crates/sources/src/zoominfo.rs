@@ -63,10 +63,8 @@ impl DataSource for ZoomInfo {
             }
         }
         let name = query.name.as_deref()?;
-        let (entry, score) = self.registry.best_name_match(name)?;
-        (score >= 0.60)
-            .then(|| self.lookup_org(entry.org))
-            .flatten()
+        let (entry, _) = self.registry.best_name_match_at_least(name, 0.60)?;
+        self.lookup_org(entry.org)
     }
 }
 

@@ -1,0 +1,252 @@
+//! Differential tests of the pruned registry name search against the
+//! original string-based scorer and linear scan, which live here and only
+//! here as the oracle.
+//!
+//! The search normalizes every listed name once, scores the query against
+//! entries through [`NormName`], and skips an entry when an upper bound on
+//! its score cannot reach the scan's floor. These tests pin that the
+//! normalized score is bit-equal to the oracle's, that the bound never
+//! undercuts the score, and that over whole standard worlds the pruned
+//! searches return exactly what the linear scan returns.
+
+use asdb_entity::{name_similarity, NormName};
+use asdb_model::org::LEGAL_SUFFIXES;
+use asdb_model::WorldSeed;
+use asdb_sources::crunchbase::Crunchbase;
+use asdb_sources::dnb::Dnb;
+use asdb_sources::registry::BusinessRegistry;
+use asdb_worldgen::{World, WorldConfig};
+use rand::check::{self, any_string, class_string, vec_of};
+use rand::rngs::StdRng;
+use rand::RngExt;
+use std::collections::BTreeSet;
+
+/// The oracle scorer: the string-based `name_similarity` the normalized
+/// one replaced, with its Jaro, Jaro–Winkler and token-set helpers.
+mod oracle {
+    use std::collections::BTreeSet;
+
+    pub fn jaro(a: &str, b: &str) -> f64 {
+        let a: Vec<char> = a.chars().collect();
+        let b: Vec<char> = b.chars().collect();
+        if a.is_empty() && b.is_empty() {
+            return 1.0;
+        }
+        if a.is_empty() || b.is_empty() {
+            return 0.0;
+        }
+        let window = (a.len().max(b.len()) / 2).saturating_sub(1);
+        let mut b_taken = vec![false; b.len()];
+        let mut matches_a: Vec<char> = Vec::new();
+        let mut match_positions_b: Vec<usize> = Vec::new();
+        for (i, &ca) in a.iter().enumerate() {
+            let lo = i.saturating_sub(window);
+            let hi = (i + window + 1).min(b.len());
+            for j in lo..hi {
+                if !b_taken[j] && b[j] == ca {
+                    b_taken[j] = true;
+                    matches_a.push(ca);
+                    match_positions_b.push(j);
+                    break;
+                }
+            }
+        }
+        let m = matches_a.len();
+        if m == 0 {
+            return 0.0;
+        }
+        let mut b_matches: Vec<(usize, char)> =
+            match_positions_b.iter().map(|&j| (j, b[j])).collect();
+        b_matches.sort_by_key(|(j, _)| *j);
+        let t = matches_a
+            .iter()
+            .zip(b_matches.iter().map(|(_, c)| c))
+            .filter(|(x, y)| x != y)
+            .count() as f64
+            / 2.0;
+        let m = m as f64;
+        (m / a.len() as f64 + m / b.len() as f64 + (m - t) / m) / 3.0
+    }
+
+    fn jaro_winkler(a: &str, b: &str) -> f64 {
+        let j = jaro(a, b);
+        let prefix = a
+            .chars()
+            .zip(b.chars())
+            .take(4)
+            .take_while(|(x, y)| x == y)
+            .count() as f64;
+        j + prefix * 0.1 * (1.0 - j)
+    }
+
+    fn token_jaccard(a: &str, b: &str) -> f64 {
+        let ta = tokens(a);
+        let tb = tokens(b);
+        if ta.is_empty() && tb.is_empty() {
+            return 1.0;
+        }
+        if ta.is_empty() || tb.is_empty() {
+            return 0.0;
+        }
+        let inter = ta.intersection(&tb).count() as f64;
+        let union = ta.union(&tb).count() as f64;
+        inter / union
+    }
+
+    fn tokens(s: &str) -> BTreeSet<String> {
+        s.split(|c: char| !c.is_alphanumeric())
+            .filter(|t| t.len() >= 2)
+            .map(str::to_lowercase)
+            .filter(|t| !asdb_model::org::LEGAL_SUFFIXES.contains(&t.as_str()))
+            .collect()
+    }
+
+    pub fn name_similarity(a: &str, b: &str) -> f64 {
+        let la = a.to_lowercase();
+        let lb = b.to_lowercase();
+        let jw = jaro_winkler(&la, &lb);
+        let jac = token_jaccard(&la, &lb);
+        let ta = tokens(&la);
+        let tb = tokens(&lb);
+        let subset_bonus =
+            if !ta.is_empty() && !tb.is_empty() && (ta.is_subset(&tb) || tb.is_subset(&ta)) {
+                0.85
+            } else {
+                0.0
+            };
+        let jw_weighted = if jac > 0.0 { jw } else { jw * 0.75 };
+        jw_weighted.max(jac).max(subset_bonus)
+    }
+}
+
+/// The oracle search: the linear scan that scored every entry, returning
+/// the first best entry's index, its score and the runner-up's score.
+fn linear_best_two(reg: &BusinessRegistry, name: &str) -> Option<(usize, f64, f64)> {
+    let mut best: Option<(usize, f64)> = None;
+    let mut second: f64 = 0.0;
+    for (i, e) in reg.iter().enumerate() {
+        let s = oracle::name_similarity(name, &e.listed_name);
+        match best {
+            Some((_, bs)) if bs >= s => {
+                if s > second {
+                    second = s;
+                }
+            }
+            Some((_, bs)) => {
+                second = bs;
+                best = Some((i, s));
+            }
+            None => best = Some((i, s)),
+        }
+    }
+    best.map(|(i, s)| (i, s, second))
+}
+
+fn index_of(reg: &BusinessRegistry, entry: &asdb_sources::registry::RegistryEntry) -> usize {
+    reg.iter()
+        .position(|e| std::ptr::eq(e, entry))
+        .expect("entry belongs to the registry")
+}
+
+/// Every AS name of one standard world, searched as the pipeline's stage 3
+/// sends it (`Query::name` is the parsed WHOIS name), against D&B's
+/// runner-up search and Crunchbase's thresholded one.
+fn check_world(seed: u64) {
+    let world = World::generate(WorldConfig::standard(WorldSeed::new(seed)));
+    let build_seed = WorldSeed::new(seed).derive("sources");
+    let dnb = Dnb::build(&world, build_seed);
+    let crunchbase = Crunchbase::build(&world, build_seed);
+    let names: BTreeSet<&str> = world.ases.iter().map(|r| r.parsed.name.as_str()).collect();
+    for name in names {
+        let reg = dnb.registry();
+        let pruned = reg
+            .best_two_name_match(name)
+            .map(|(e, s, r)| (index_of(reg, e), s.to_bits(), r.to_bits()));
+        let linear = linear_best_two(reg, name).map(|(i, s, r)| (i, s.to_bits(), r.to_bits()));
+        assert_eq!(pruned, linear, "D&B, seed {seed}, name {name:?}");
+
+        let reg = crunchbase.registry();
+        let pruned = reg
+            .best_name_match_at_least(name, 0.82)
+            .map(|(e, s)| (index_of(reg, e), s.to_bits()));
+        let linear = linear_best_two(reg, name)
+            .filter(|&(_, s, _)| s >= 0.82)
+            .map(|(i, s, _)| (i, s.to_bits()));
+        assert_eq!(pruned, linear, "Crunchbase, seed {seed}, name {name:?}");
+    }
+}
+
+#[test]
+fn pruned_searches_equal_the_linear_scan_on_standard_worlds() {
+    std::thread::scope(|scope| {
+        for seed in 1..=3 {
+            scope.spawn(move || check_world(seed));
+        }
+    });
+}
+
+/// A name as WHOIS and registries spell them, or degenerate: real-looking
+/// words, legal suffixes, 1-char tokens, non-ASCII fragments, or nothing.
+fn draw_name(rng: &mut StdRng) -> String {
+    match rng.random_range(0u32..4) {
+        0 => any_string(rng, 0..=40),
+        1 => class_string(rng, "a-zA-Z0-9 .,&-", 0..=30),
+        _ => {
+            let words = vec_of(rng, 0..6, |r| match r.random_range(0u32..5) {
+                0 => LEGAL_SUFFIXES[r.random_range(0..LEGAL_SUFFIXES.len())].to_uppercase(),
+                1 => class_string(r, "a-zA-Z0-9", 1..=1),
+                2 => any_string(r, 1..=4),
+                _ => class_string(r, "a-z", 2..=9),
+            });
+            let sep = [" ", ", ", "-", " & "][rng.random_range(0..4)];
+            words.join(sep)
+        }
+    }
+}
+
+#[test]
+fn normalized_score_is_bit_equal_and_bounded() {
+    check::cases(
+        4096,
+        |rng| (draw_name(rng), draw_name(rng)),
+        |(a, b)| {
+            let expected = oracle::name_similarity(&a, &b);
+            let (na, nb) = (NormName::new(&a), NormName::new(&b));
+            let score = na.similarity(&nb);
+            assert_eq!(score.to_bits(), expected.to_bits(), "{score} vs {expected}");
+            assert_eq!(name_similarity(&a, &b).to_bits(), expected.to_bits());
+            assert_eq!(
+                asdb_entity::jaro(&a, &b).to_bits(),
+                oracle::jaro(&a, &b).to_bits()
+            );
+            let bound = na.similarity_bound(&nb);
+            assert!(bound >= score, "bound {bound} < score {score}");
+            // A floor the score reaches never prunes.
+            assert_eq!(na.similarity_at_least(&nb, score), Some(score));
+        },
+    );
+}
+
+#[test]
+fn degenerate_names_score_like_the_oracle() {
+    // Empty token sets on both sides: Jaccard is 1.0.
+    for (a, b) in [
+        ("", ""),
+        ("", "Acme"),
+        ("Inc", "LLC"),
+        ("a b c", "x y"),
+        ("Corp", ""),
+        ("Ltd.", "Ltd."),
+        ("Üñí Çødé GmbH", "üñí çødé"),
+        ("\u{212A}elvin", "kelvin"),
+    ] {
+        let expected = oracle::name_similarity(a, b);
+        assert_eq!(
+            name_similarity(a, b).to_bits(),
+            expected.to_bits(),
+            "{a:?} {b:?}"
+        );
+        let (na, nb) = (NormName::new(a), NormName::new(b));
+        assert!(na.similarity_bound(&nb) >= expected, "{a:?} {b:?}");
+    }
+}

@@ -79,16 +79,25 @@ impl Language {
             .join("\n")
     }
 
-    /// Detect the language of a text by its dominant suffix marker.
+    /// Detect the language of a text by its dominant suffix marker,
+    /// matched case-insensitively. ASCII words, the usual case, are
+    /// compared in place; other words are lowercased once.
     pub fn detect(text: &str) -> Language {
+        let markers = Language::NON_ENGLISH.map(|lang| ["x", lang.suffix()].concat());
         let mut counts = [0usize; 8];
         let mut words = 0usize;
         for w in text.split_whitespace() {
             words += 1;
-            for (i, lang) in Language::NON_ENGLISH.iter().enumerate() {
-                let marker = format!("x{}", lang.suffix());
-                if w.to_lowercase().ends_with(&marker) {
-                    counts[i] += 1;
+            let lowered;
+            let w = if w.is_ascii() {
+                w.as_bytes()
+            } else {
+                lowered = w.to_lowercase();
+                lowered.as_bytes()
+            };
+            for (count, marker) in counts.iter_mut().zip(&markers) {
+                if ends_with_ignore_ascii_case(w, marker.as_bytes()) {
+                    *count += 1;
                 }
             }
         }
@@ -161,6 +170,12 @@ impl Translator {
             .collect::<Vec<_>>()
             .join("\n")
     }
+}
+
+/// Whether `word` ends with the lowercase ASCII `marker`, ignoring ASCII
+/// case.
+fn ends_with_ignore_ascii_case(word: &[u8], marker: &[u8]) -> bool {
+    word.len() >= marker.len() && word[word.len() - marker.len()..].eq_ignore_ascii_case(marker)
 }
 
 /// Strip a language marker from a word, preserving trailing punctuation.
@@ -242,6 +257,13 @@ mod tests {
         let mixed = "plain english text with one wordxzo marker";
         assert_eq!(Language::detect(mixed), Language::English);
         assert_eq!(Language::detect(""), Language::English);
+    }
+
+    #[test]
+    fn detection_ignores_case() {
+        assert_eq!(Language::detect("FIBERXZO NETXZO"), Language::Zonal);
+        // The Kelvin sign lowercases to an ASCII `k`.
+        assert_eq!(Language::detect("wordx\u{212A}i"), Language::Kirish);
     }
 
     #[test]
