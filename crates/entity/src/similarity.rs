@@ -24,6 +24,23 @@ fn jaro_chars(a: &[char], b: &[char]) -> f64 {
         return 0.0;
     }
     let window = (a.len().max(b.len()) / 2).saturating_sub(1);
+    let (m, t) = if b.len() <= 64 {
+        jaro_matches_short(a, b, window)
+    } else {
+        jaro_matches(a, b, window)
+    };
+    if m == 0 {
+        return 0.0;
+    }
+    let t = t as f64 / 2.0;
+    let m = m as f64;
+    (m / a.len() as f64 + m / b.len() as f64 + (m - t) / m) / 3.0
+}
+
+/// The Jaro match count and the number of matched chars out of order
+/// (twice the transpositions): each char of `a` takes the first free equal
+/// char of `b` within `window` of its position.
+fn jaro_matches(a: &[char], b: &[char], window: usize) -> (usize, usize) {
     let mut b_taken = vec![false; b.len()];
     let mut matches_a: Vec<char> = Vec::with_capacity(a.len().min(b.len()));
     for (i, &ca) in a.iter().enumerate() {
@@ -37,21 +54,51 @@ fn jaro_chars(a: &[char], b: &[char]) -> f64 {
             }
         }
     }
-    let m = matches_a.len();
-    if m == 0 {
-        return 0.0;
-    }
-    // Transpositions: compare the matched sequences, each in its own
-    // string's order.
+    // Compare the matched sequences, each in its own string's order.
     let matches_b = b.iter().zip(&b_taken).filter(|(_, &t)| t).map(|(c, _)| c);
     let t = matches_a
         .iter()
         .zip(matches_b)
         .filter(|(x, y)| x != y)
-        .count() as f64
-        / 2.0;
-    let m = m as f64;
-    (m / a.len() as f64 + m / b.len() as f64 + (m - t) / m) / 3.0
+        .count();
+    (matches_a.len(), t)
+}
+
+/// [`jaro_matches`] for a `b` of at most 64 chars, on bit masks: the
+/// positions of `b` per histogram bucket, so each char of `a` tests only
+/// the free positions in its window that may hold it, lowest first.
+fn jaro_matches_short(a: &[char], b: &[char], window: usize) -> (usize, usize) {
+    let below = |n: usize| if n >= 64 { u64::MAX } else { (1u64 << n) - 1 };
+    let mut at = [0u64; BUCKETS];
+    for (j, &c) in b.iter().enumerate() {
+        at[bucket(c)] |= 1 << j;
+    }
+    let mut b_taken = 0u64;
+    let mut matches_a = ['\0'; 64];
+    let mut m = 0;
+    for (i, &ca) in a.iter().enumerate() {
+        let lo = i.saturating_sub(window);
+        let hi = (i + window + 1).min(b.len());
+        let mut free = at[bucket(ca)] & below(hi) & !below(lo) & !b_taken;
+        while free != 0 {
+            let j = free.trailing_zeros() as usize;
+            if b[j] == ca {
+                b_taken |= 1 << j;
+                matches_a[m] = ca;
+                m += 1;
+                break;
+            }
+            free &= free - 1;
+        }
+    }
+    let mut t = 0;
+    let mut taken = b_taken;
+    for &ca in &matches_a[..m] {
+        let j = taken.trailing_zeros() as usize;
+        t += usize::from(b[j] != ca);
+        taken &= taken - 1;
+    }
+    (m, t)
 }
 
 /// Length of the common prefix Winkler boosts, capped at 4 chars.
@@ -90,14 +137,14 @@ fn tokens(s: &str) -> Vec<String> {
 }
 
 /// Token-set Jaccard and the subset bonus of two sorted, deduplicated
-/// token sets, from one merge walk.
+/// token sets.
 fn token_terms(a: &[String], b: &[String]) -> (f64, f64) {
-    if a.is_empty() && b.is_empty() {
-        return (1.0, 0.0);
-    }
-    if a.is_empty() || b.is_empty() {
-        return (0.0, 0.0);
-    }
+    terms_from_counts(a.len(), b.len(), shared_count(a, b))
+}
+
+/// How many tokens two sorted, deduplicated token sets share, from one
+/// merge walk.
+fn shared_count(a: &[String], b: &[String]) -> usize {
     let (mut i, mut j, mut inter) = (0, 0, 0usize);
     while i < a.len() && j < b.len() {
         match a[i].cmp(&b[j]) {
@@ -110,10 +157,23 @@ fn token_terms(a: &[String], b: &[String]) -> (f64, f64) {
             }
         }
     }
-    let union = a.len() + b.len() - inter;
+    inter
+}
+
+/// Token-set Jaccard and the subset bonus of two token sets of `la` and
+/// `lb` tokens that share `inter` of them. Two empty sets are identical
+/// (Jaccard 1); one empty set shares nothing.
+pub fn terms_from_counts(la: usize, lb: usize, inter: usize) -> (f64, f64) {
+    if la == 0 && lb == 0 {
+        return (1.0, 0.0);
+    }
+    if la == 0 || lb == 0 {
+        return (0.0, 0.0);
+    }
+    let union = la + lb - inter;
     // One name's tokens a subset of the other's: abbreviations and
     // dropped words.
-    let subset_bonus = if inter == a.len() || inter == b.len() {
+    let subset_bonus = if inter == la || inter == lb {
         0.85
     } else {
         0.0
@@ -126,16 +186,25 @@ fn token_terms(a: &[String], b: &[String]) -> (f64, f64) {
 /// random English phrases), so it is discounted when the names share no
 /// tokens at all.
 fn blend(jw: f64, jaccard: f64, subset_bonus: f64) -> f64 {
-    let jw_weighted = if jaccard > 0.0 { jw } else { jw * 0.75 };
+    let jw_weighted = if jaccard > 0.0 {
+        jw
+    } else {
+        jw * UNSHARED_JW_WEIGHT
+    };
     jw_weighted.max(jaccard).max(subset_bonus)
 }
+
+/// The weight Jaro–Winkler keeps when two names share no token. Jaro–Winkler
+/// is at most 1, so it is also the highest score two non-empty token sets
+/// with no token in common can reach.
+pub const UNSHARED_JW_WEIGHT: f64 = 0.75;
 
 /// Histogram buckets for the Jaro match-count bound.
 const BUCKETS: usize = 64;
 
 /// Slack under which a bound still counts as reaching a floor, so float
 /// rounding in the bound can never prune a tie.
-const BOUND_SLACK: f64 = 1e-9;
+pub const BOUND_SLACK: f64 = 1e-9;
 
 fn bucket(c: char) -> usize {
     match c {
@@ -176,22 +245,46 @@ impl NormName {
 
     /// The combined name similarity (see [`name_similarity`]).
     pub fn similarity(&self, other: &NormName) -> f64 {
-        let (jaccard, subset_bonus) = token_terms(&self.tokens, &other.tokens);
-        blend(self.jaro_winkler(other), jaccard, subset_bonus)
+        self.similarity_sharing(other, shared_count(&self.tokens, &other.tokens))
     }
 
     /// An upper bound on [`NormName::similarity`] that skips the Jaro
     /// matching: the token terms are exact, and the Jaro match count is
     /// bounded by the histogram overlap with no transpositions.
     pub fn similarity_bound(&self, other: &NormName) -> f64 {
-        let (jaccard, subset_bonus) = token_terms(&self.tokens, &other.tokens);
-        blend(self.jaro_winkler_bound(other), jaccard, subset_bonus)
+        self.similarity_bound_sharing(other, shared_count(&self.tokens, &other.tokens))
     }
 
     /// The similarity, or `None` when its upper bound proves it falls
     /// below `floor`. A score at or above `floor` is always returned.
     pub fn similarity_at_least(&self, other: &NormName, floor: f64) -> Option<f64> {
-        (self.similarity_bound(other) + BOUND_SLACK >= floor).then(|| self.similarity(other))
+        let shared = shared_count(&self.tokens, &other.tokens);
+        (self.similarity_bound_sharing(other, shared) + BOUND_SLACK >= floor)
+            .then(|| self.similarity_sharing(other, shared))
+    }
+
+    /// [`NormName::similarity`] of a pair known to share `shared` tokens:
+    /// a postings merge counts them for many entries at once, so no token
+    /// merge walk runs.
+    pub fn similarity_sharing(&self, other: &NormName, shared: usize) -> f64 {
+        let (jaccard, subset_bonus) = self.terms_sharing(other, shared);
+        blend(self.jaro_winkler(other), jaccard, subset_bonus)
+    }
+
+    /// [`NormName::similarity_bound`] of a pair known to share `shared`
+    /// tokens.
+    pub fn similarity_bound_sharing(&self, other: &NormName, shared: usize) -> f64 {
+        let (jaccard, subset_bonus) = self.terms_sharing(other, shared);
+        blend(self.jaro_winkler_bound(other), jaccard, subset_bonus)
+    }
+
+    /// The sorted, deduplicated token set the token terms are computed on.
+    pub fn tokens(&self) -> &[String] {
+        &self.tokens
+    }
+
+    fn terms_sharing(&self, other: &NormName, shared: usize) -> (f64, f64) {
+        terms_from_counts(self.tokens.len(), other.tokens.len(), shared)
     }
 
     fn jaro_winkler(&self, other: &NormName) -> f64 {
@@ -211,19 +304,25 @@ impl NormName {
         let jaro = if la == 0 || lb == 0 {
             jaro_chars(&self.chars, &other.chars)
         } else {
-            let overlap = self
-                .hist
-                .iter()
-                .zip(&other.hist)
-                .map(|(&x, &y)| {
-                    if x == u8::MAX && y == u8::MAX {
-                        la
-                    } else {
-                        usize::from(x.min(y))
-                    }
-                })
-                .sum::<usize>()
-                .min(la.min(lb));
+            let overlap = if la.min(lb) < usize::from(u8::MAX) {
+                // No bucket of the shorter name saturates, so the plain
+                // overlap is exact and within its length.
+                let pairs = self.hist.iter().zip(&other.hist);
+                pairs.map(|(&x, &y)| u32::from(x.min(y))).sum::<u32>() as usize
+            } else {
+                self.hist
+                    .iter()
+                    .zip(&other.hist)
+                    .map(|(&x, &y)| {
+                        if x == u8::MAX && y == u8::MAX {
+                            la
+                        } else {
+                            usize::from(x.min(y))
+                        }
+                    })
+                    .sum::<usize>()
+                    .min(la.min(lb))
+            };
             if overlap == 0 {
                 0.0
             } else {
@@ -248,6 +347,7 @@ pub fn name_similarity(a: &str, b: &str) -> f64 {
 mod tests {
     use super::*;
     use rand::check::{self, any_string, class_string, CASES};
+    use rand::RngExt;
 
     #[test]
     fn jaro_known_values() {
@@ -311,6 +411,40 @@ mod tests {
             assert_eq!(score.to_bits(), name_similarity(&long, &other).to_bits());
             assert!(x.similarity_bound(&y) >= score, "{}", other.len());
         }
+    }
+
+    #[test]
+    fn short_match_masks_equal_the_plain_scan() {
+        // Small alphabets make many matches and transpositions; non-ASCII
+        // chars share histogram buckets with each other.
+        check::cases(
+            CASES * 4,
+            |rng| {
+                let class = ["ab", "a-e ", "a-z0-9"][rng.random_range(0..3)];
+                let a = if rng.random_bool(0.2) {
+                    any_string(rng, 1..=80)
+                } else {
+                    class_string(rng, class, 1..=80)
+                };
+                let b = if rng.random_bool(0.2) {
+                    any_string(rng, 1..=64)
+                } else {
+                    class_string(rng, class, 1..=64)
+                };
+                (a, b)
+            },
+            |(a, b)| {
+                let (a, b): (Vec<char>, Vec<char>) = (a.chars().collect(), b.chars().collect());
+                if b.len() > 64 {
+                    return;
+                }
+                let window = (a.len().max(b.len()) / 2).saturating_sub(1);
+                assert_eq!(
+                    jaro_matches_short(&a, &b, window),
+                    jaro_matches(&a, &b, window)
+                );
+            },
+        );
     }
 
     #[test]

@@ -12,12 +12,20 @@
 //! — emerges because wrong entities only ever match at middling similarity.
 
 use crate::profile::{self};
-use crate::registry::{emit_naics_label, profile_covers, BusinessRegistry};
+use crate::registry::{emit_naics_label, profile_covers, BusinessRegistry, RegistryEntry};
 use crate::{DataSource, Query, SourceId, SourceMatch};
 use asdb_model::{ConfidenceCode, OrgId, WorldSeed};
 use asdb_worldgen::World;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
+
+/// The margin below which a runner-up makes a name match ambiguous: the
+/// penalty is `(AMBIGUITY_SPAN − margin) × 1.3`, zero at a wider margin.
+pub const AMBIGUITY_SPAN: f64 = 0.18;
+
+/// The lowest best name score that can yield a match: quality is at most
+/// the best plus the 0.10 address bonus, and a match needs quality 0.55.
+pub const MIN_MATCHABLE_BEST: f64 = 0.45;
 
 /// The simulated D&B service.
 #[derive(Debug, Clone)]
@@ -79,14 +87,28 @@ impl Dnb {
             }
         }
         let name = query.name.as_deref()?;
-        let (entry, mut quality, runner_up) = self.registry.best_two_name_match(name)?;
+        let (entry, best, runner_up) = self.registry.best_two_name_match(name)?;
+        self.name_match(query, name, entry, best, runner_up)
+    }
+
+    /// The match a name search yields from its best entry, that entry's
+    /// score and the runner-up's score: the ambiguity penalty, the address
+    /// check and the bulk-API threshold.
+    pub fn name_match(
+        &self,
+        query: &Query,
+        name: &str,
+        entry: &RegistryEntry,
+        best: f64,
+        runner_up: f64,
+    ) -> Option<SourceMatch> {
         // Ambiguity penalty: when a second company scores nearly as well,
         // the matcher cannot know which record is meant, and the returned
         // confidence reflects that (this is what pushes homonym mismatches
         // below the Figure 2 reliability threshold).
-        let margin = (quality - runner_up).max(0.0);
-        let ambiguity = (0.18 - margin).clamp(0.0, 0.18) * 1.3;
-        quality -= ambiguity;
+        let margin = (best - runner_up).max(0.0);
+        let ambiguity = (AMBIGUITY_SPAN - margin).clamp(0.0, AMBIGUITY_SPAN) * 1.3;
+        let mut quality = best - ambiguity;
         // An address hit nudges quality up; a mismatch nudges down.
         if let (Some(addr), city) = (&query.address, &entry.city) {
             if addr.to_lowercase().contains(&city.to_lowercase()) {
@@ -101,12 +123,7 @@ impl Dnb {
         Some(self.to_match(entry, quality, name))
     }
 
-    fn to_match(
-        &self,
-        entry: &crate::registry::RegistryEntry,
-        quality: f64,
-        key: &str,
-    ) -> SourceMatch {
+    fn to_match(&self, entry: &RegistryEntry, quality: f64, key: &str) -> SourceMatch {
         SourceMatch {
             source: SourceId::Dnb,
             entity: Some(entry.org),

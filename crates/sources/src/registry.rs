@@ -2,7 +2,9 @@
 //! and Clearbit: coverage sampling, label emission with calibrated
 //! confusion, and similarity-based search.
 
+use crate::dnb::{AMBIGUITY_SPAN, MIN_MATCHABLE_BEST};
 use crate::profile::SourceProfile;
+use asdb_entity::similarity::{BOUND_SLACK, UNSHARED_JW_WEIGHT};
 use asdb_entity::NormName;
 use asdb_model::{Domain, OrgId, WorldSeed};
 use asdb_taxonomy::naicslite::known;
@@ -37,8 +39,36 @@ pub struct BusinessRegistry {
     entries: Vec<RegistryEntry>,
     /// Each entry's listed name, normalized once at build time.
     names: Vec<NormName>,
+    /// Every listed-name token, interned as an index into `postings`.
+    token_ids: HashMap<String, u32>,
+    /// Per token id, the ascending indexes of the entries whose listed
+    /// name has that token.
+    postings: Vec<Vec<u32>>,
     by_org: HashMap<OrgId, usize>,
     by_domain: HashMap<Domain, usize>,
+}
+
+/// The running result of a name scan: the best entry so far (the lower
+/// index wins a tie) and the best score among all other scored entries.
+#[derive(Debug, Clone, Copy, Default)]
+struct Leaders {
+    best: Option<(usize, f64)>,
+    second: f64,
+}
+
+impl Leaders {
+    /// Fold in one scored entry. The result does not depend on the order
+    /// entries are offered in.
+    fn offer(&mut self, i: usize, s: f64) {
+        match self.best {
+            Some((bi, bs)) if s > bs || (s == bs && i < bi) => {
+                self.second = bs;
+                self.best = Some((i, s));
+            }
+            Some(_) => self.second = self.second.max(s),
+            None => self.best = Some((i, s)),
+        }
+    }
 }
 
 impl BusinessRegistry {
@@ -58,7 +88,18 @@ impl BusinessRegistry {
             }
             let (raw_label, categories) = label(org, &mut rng);
             let idx = reg.entries.len();
-            reg.names.push(NormName::new(org.legal_name.as_str()));
+            let name = NormName::new(org.legal_name.as_str());
+            // Tokens are deduplicated per name and entries arrive in index
+            // order, so every postings list is strictly ascending.
+            for token in name.tokens() {
+                let next = reg.postings.len() as u32;
+                let id = *reg.token_ids.entry(token.clone()).or_insert(next);
+                if id == next {
+                    reg.postings.push(Vec::new());
+                }
+                reg.postings[id as usize].push(idx as u32);
+            }
+            reg.names.push(name);
             reg.entries.push(RegistryEntry {
                 org: org.id,
                 listed_name: org.legal_name.as_str().to_owned(),
@@ -105,52 +146,99 @@ impl BusinessRegistry {
 
     /// The entry [`BusinessRegistry::best_name_match`] returns, when its
     /// score is at least `min`; `None` otherwise. Entries whose score bound
-    /// falls below `min`, or below the best so far (which is `≥ min`), are
-    /// skipped unscored.
+    /// falls below `min`, or below the best so far, are skipped unscored.
     pub fn best_name_match_at_least(&self, name: &str, min: f64) -> Option<(&RegistryEntry, f64)> {
-        let query = NormName::new(name);
-        let mut best: Option<(usize, f64)> = None;
-        for (i, listed) in self.names.iter().enumerate() {
-            let floor = best.map_or(min, |(_, bs)| bs);
-            let Some(s) = query.similarity_at_least(listed, floor) else {
-                continue;
-            };
-            if s >= min && best.map_or(true, |(_, bs)| s > bs) {
-                best = Some((i, s));
-            }
-        }
-        best.map(|(i, s)| (&self.entries[i], s))
+        let leaders = self.scan(&NormName::new(name), |l| {
+            l.best.map_or(min, |(_, bs)| bs.max(min))
+        });
+        let (i, s) = leaders.best.filter(|&(_, s)| s >= min)?;
+        Some((&self.entries[i], s))
     }
 
     /// Best name match plus the runner-up's score — the margin between the
     /// two is the matching engine's ambiguity signal ("there is no control
     /// over which company is chosen if multiple companies share the same
-    /// name", §3.5; ambiguous matches get low confidence codes). Entries
-    /// whose score bound falls below the runner-up are skipped: they can
-    /// change neither score. Scores are never negative, so nothing is
-    /// skipped before a runner-up scores above 0.
+    /// name", §3.5; ambiguous matches get low confidence codes).
+    ///
+    /// The search is capped to what D&B reads. A best below
+    /// [`MIN_MATCHABLE_BEST`] never yields a D&B match, and a runner-up
+    /// more than [`AMBIGUITY_SPAN`] below the best adds no ambiguity
+    /// penalty. So entries whose score bound falls below the runner-up,
+    /// below the best minus the span, or below `MIN_MATCHABLE_BEST −
+    /// AMBIGUITY_SPAN` are skipped unscored. When the best is at least
+    /// `MIN_MATCHABLE_BEST`, the entry and its score are exact, and so is
+    /// the runner-up whenever it lies within the span; otherwise the
+    /// returned runner-up may be lower than the true one, but still more
+    /// than the span below the best. A best below `MIN_MATCHABLE_BEST` may
+    /// come back as another entry, a lower runner-up, or `None`.
     pub fn best_two_name_match(&self, name: &str) -> Option<(&RegistryEntry, f64, f64)> {
-        let query = NormName::new(name);
-        let mut best: Option<(usize, f64)> = None;
-        let mut second: f64 = 0.0;
+        let leaders = self.scan(&NormName::new(name), |l| {
+            let below_best = l.best.map_or(0.0, |(_, bs)| bs - AMBIGUITY_SPAN);
+            l.second
+                .max(below_best)
+                .max(MIN_MATCHABLE_BEST - AMBIGUITY_SPAN)
+        });
+        let (i, s) = leaders.best?;
+        Some((&self.entries[i], s, leaders.second))
+    }
+
+    /// The scan core behind both searches. An entry is scored only when
+    /// its score bound reaches `floor` of the leaders so far, so `floor`
+    /// must never exceed the score of an entry the caller needs exactly.
+    ///
+    /// Entries that share a token with the query are found through the
+    /// postings: concatenating the query tokens' lists and counting runs
+    /// of equal indexes (ScanCount) gives each such candidate's exact
+    /// shared-token count, from which the token terms follow without a
+    /// merge walk. Candidates are scored highest bound first, so the floor
+    /// rises early and the scan stops at the first bound below it. Every
+    /// other entry shares no token, so it scores at most
+    /// [`UNSHARED_JW_WEIGHT`]: those are visited second, in index order,
+    /// and only while the floor still lets that through. A query without
+    /// tokens scores through the token terms of empty sets, so it visits
+    /// every entry.
+    fn scan(&self, query: &NormName, floor: impl Fn(&Leaders) -> f64) -> Leaders {
+        let mut leaders = Leaders::default();
+        let mut hits: Vec<u32> = query
+            .tokens()
+            .iter()
+            .filter_map(|t| self.token_ids.get(t))
+            .flat_map(|&id| self.postings[id as usize].iter().copied())
+            .collect();
+        hits.sort_unstable();
+        let mut candidates: Vec<(f64, usize, usize)> = hits
+            .chunk_by(|a, b| a == b)
+            .map(|run| {
+                let (i, shared) = (run[0] as usize, run.len());
+                (
+                    query.similarity_bound_sharing(&self.names[i], shared),
+                    i,
+                    shared,
+                )
+            })
+            .collect();
+        candidates.sort_unstable_by(|a, b| b.0.total_cmp(&a.0));
+        for &(bound, i, shared) in &candidates {
+            if bound + BOUND_SLACK < floor(&leaders) {
+                break;
+            }
+            leaders.offer(i, query.similarity_sharing(&self.names[i], shared));
+        }
+        let has_tokens = !query.tokens().is_empty();
+        hits.dedup();
+        let mut hits = hits.into_iter().peekable();
         for (i, listed) in self.names.iter().enumerate() {
-            let Some(s) = query.similarity_at_least(listed, second) else {
+            if hits.next_if_eq(&(i as u32)).is_some() {
                 continue;
-            };
-            match best {
-                Some((_, bs)) if bs >= s => {
-                    if s > second {
-                        second = s;
-                    }
-                }
-                Some((_, bs)) => {
-                    second = bs;
-                    best = Some((i, s));
-                }
-                None => best = Some((i, s)),
+            }
+            if has_tokens && floor(&leaders) > UNSHARED_JW_WEIGHT + BOUND_SLACK {
+                break;
+            }
+            if query.similarity_bound_sharing(listed, 0) + BOUND_SLACK >= floor(&leaders) {
+                leaders.offer(i, query.similarity_sharing(listed, 0));
             }
         }
-        best.map(|(i, s)| (&self.entries[i], s, second))
+        leaders
     }
 
     /// Iterate entries.
@@ -331,6 +419,36 @@ mod tests {
         let (found, score) = reg.best_name_match(&entry.listed_name).unwrap();
         assert_eq!(found.org, entry.org);
         assert!(score > 0.95);
+    }
+
+    #[test]
+    fn leaders_do_not_depend_on_visiting_order() {
+        use rand::check::{self, vec_of, CASES};
+        use rand::seq::SliceRandom;
+        check::cases(
+            CASES,
+            |rng| {
+                // Few distinct scores, so ties are common.
+                let scored = vec_of(rng, 1..12, |r| [0.0, 0.5, 0.75, 1.0][r.random_range(0..4)]);
+                let mut order: Vec<usize> = (0..scored.len()).collect();
+                order.shuffle(rng);
+                (scored, order)
+            },
+            |(scored, order)| {
+                let (mut in_order, mut shuffled) = (Leaders::default(), Leaders::default());
+                for (i, &s) in scored.iter().enumerate() {
+                    in_order.offer(i, s);
+                }
+                for &i in &order {
+                    shuffled.offer(i, scored[i]);
+                }
+                let first_best = scored.iter().copied().fold(f64::MIN, f64::max);
+                let i = scored.iter().position(|&s| s == first_best).unwrap();
+                assert_eq!(in_order.best, Some((i, first_best)));
+                assert_eq!(shuffled.best, in_order.best);
+                assert_eq!(shuffled.second.to_bits(), in_order.second.to_bits());
+            },
+        );
     }
 
     #[test]

@@ -2,24 +2,30 @@
 //! original string-based scorer and linear scan, which live here and only
 //! here as the oracle.
 //!
-//! The search normalizes every listed name once, scores the query against
-//! entries through [`NormName`], and skips an entry when an upper bound on
-//! its score cannot reach the scan's floor. These tests pin that the
+//! The search normalizes every listed name once, finds the entries that
+//! share a token with the query through token postings, scores entries
+//! through [`NormName`], and skips an entry when an upper bound on its
+//! score cannot reach the scan's floor. These tests pin that the
 //! normalized score is bit-equal to the oracle's, that the bound never
-//! undercuts the score, and that over whole standard worlds the pruned
-//! searches return exactly what the linear scan returns.
+//! undercuts the score, and that over whole standard worlds and over small
+//! random registries the pruned searches return what the linear scan
+//! returns: exactly for Crunchbase's thresholded search, and for D&B's
+//! runner-up search exactly wherever D&B reads it, with D&B's match built
+//! from either result equal.
 
 use asdb_entity::{name_similarity, NormName};
 use asdb_model::org::LEGAL_SUFFIXES;
 use asdb_model::WorldSeed;
 use asdb_sources::crunchbase::Crunchbase;
-use asdb_sources::dnb::Dnb;
+use asdb_sources::dnb::{Dnb, AMBIGUITY_SPAN, MIN_MATCHABLE_BEST};
 use asdb_sources::registry::BusinessRegistry;
+use asdb_sources::Query;
+use asdb_taxonomy::CategorySet;
 use asdb_worldgen::{World, WorldConfig};
 use rand::check::{self, any_string, class_string, vec_of};
 use rand::rngs::StdRng;
 use rand::RngExt;
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 
 /// The oracle scorer: the string-based `name_similarity` the normalized
 /// one replaced, with its Jaro, Jaro–Winkler and token-set helpers.
@@ -148,22 +154,68 @@ fn index_of(reg: &BusinessRegistry, entry: &asdb_sources::registry::RegistryEntr
         .expect("entry belongs to the registry")
 }
 
+/// D&B's capped runner-up search against the oracle's `(entry, best,
+/// runner-up)`. When the oracle best can yield a match (it is at least
+/// [`MIN_MATCHABLE_BEST`]), the entry and best are bit-equal, and so is the
+/// runner-up whenever it lies within [`AMBIGUITY_SPAN`] of the best — the
+/// only range the ambiguity penalty reads. A runner-up further down may
+/// come back lower, but only when the oracle's is beyond the span by more
+/// than the bound slack, where either one gives no penalty.
+fn assert_capped(pruned: Option<(usize, f64, f64)>, oracle: Option<(usize, f64, f64)>, what: &str) {
+    let Some((i, best, second)) = oracle.filter(|&(_, best, _)| best >= MIN_MATCHABLE_BEST) else {
+        return;
+    };
+    let (pi, pbest, psecond) = pruned.unwrap_or_else(|| panic!("{what}: no match"));
+    assert_eq!((pi, pbest.to_bits()), (i, best.to_bits()), "{what}");
+    if second >= best - AMBIGUITY_SPAN {
+        assert_eq!(psecond.to_bits(), second.to_bits(), "{what}");
+    } else {
+        assert!(psecond <= second, "{what}: runner-up {psecond} > {second}");
+        assert!(
+            psecond == second || second + 1e-9 < best - AMBIGUITY_SPAN,
+            "{what}: runner-up {psecond} vs {second}"
+        );
+    }
+}
+
 /// Every AS name of one standard world, searched as the pipeline's stage 3
-/// sends it (`Query::name` is the parsed WHOIS name), against D&B's
-/// runner-up search and Crunchbase's thresholded one.
+/// sends it (`Query::name` is the parsed WHOIS name, with its address),
+/// against D&B's runner-up search and Crunchbase's thresholded one.
 fn check_world(seed: u64) {
     let world = World::generate(WorldConfig::standard(WorldSeed::new(seed)));
     let build_seed = WorldSeed::new(seed).derive("sources");
     let dnb = Dnb::build(&world, build_seed);
     let crunchbase = Crunchbase::build(&world, build_seed);
-    let names: BTreeSet<&str> = world.ases.iter().map(|r| r.parsed.name.as_str()).collect();
-    for name in names {
+    let mut queries: BTreeMap<&str, BTreeSet<Option<&str>>> = BTreeMap::new();
+    for r in &world.ases {
+        let address = r.parsed.address.as_deref();
+        queries
+            .entry(r.parsed.name.as_str())
+            .or_default()
+            .insert(address);
+    }
+    for (name, addresses) in queries {
         let reg = dnb.registry();
         let pruned = reg
             .best_two_name_match(name)
-            .map(|(e, s, r)| (index_of(reg, e), s.to_bits(), r.to_bits()));
-        let linear = linear_best_two(reg, name).map(|(i, s, r)| (i, s.to_bits(), r.to_bits()));
-        assert_eq!(pruned, linear, "D&B, seed {seed}, name {name:?}");
+            .map(|(e, s, r)| (index_of(reg, e), s, r));
+        let linear = linear_best_two(reg, name);
+        assert_capped(pruned, linear, &format!("D&B, seed {seed}, name {name:?}"));
+        for address in addresses {
+            let query = Query {
+                address: address.map(str::to_owned),
+                ..Query::by_name(name)
+            };
+            let expected = linear.and_then(|(i, best, second)| {
+                let entry = reg.iter().nth(i).expect("oracle index");
+                dnb.name_match(&query, name, entry, best, second)
+            });
+            assert_eq!(
+                dnb.search_with_confidence(&query),
+                expected,
+                "D&B match, seed {seed}, query {query:?}"
+            );
+        }
 
         let reg = crunchbase.registry();
         let pruned = reg
@@ -249,4 +301,65 @@ fn degenerate_names_score_like_the_oracle() {
         let (na, nb) = (NormName::new(a), NormName::new(b));
         assert!(na.similarity_bound(&nb) >= expected, "{a:?} {b:?}");
     }
+}
+
+/// Standard worlds have no listed name without tokens, and few exact ties
+/// on either side of the split between entries that share a query token
+/// and entries that do not. Small random registries of degenerate names,
+/// with forced duplicates, cover both: the empty-token query's full pass,
+/// and ties visited out of index order.
+#[test]
+fn pruned_searches_equal_the_linear_scan_on_small_random_registries() {
+    let world = World::generate(WorldConfig::small(WorldSeed::new(5)));
+    check::cases(
+        1024,
+        |rng| {
+            let mut names: Vec<String> = Vec::new();
+            for _ in 0..rng.random_range(1..=40) {
+                let name = match names.len() {
+                    n if n > 0 && rng.random_bool(0.3) => names[rng.random_range(0..n)].clone(),
+                    _ => draw_name(rng),
+                };
+                names.push(name);
+            }
+            let query = if rng.random_bool(0.3) {
+                names[rng.random_range(0..names.len())].clone()
+            } else {
+                draw_name(rng)
+            };
+            (names, query)
+        },
+        |(names, query)| {
+            let orgs: Vec<_> = world
+                .orgs
+                .iter()
+                .zip(&names)
+                .map(|(org, name)| {
+                    let mut org = org.clone();
+                    org.legal_name = asdb_model::OrgName::new(name);
+                    org
+                })
+                .collect();
+            let reg = BusinessRegistry::build(
+                &orgs,
+                WorldSeed::new(1),
+                |_, _| true,
+                |_, _| (String::new(), CategorySet::new()),
+            );
+            let linear = linear_best_two(&reg, &query);
+            for min in [0.0, 0.60, 0.82] {
+                let pruned = reg
+                    .best_name_match_at_least(&query, min)
+                    .map(|(e, s)| (index_of(&reg, e), s.to_bits()));
+                let expected = linear
+                    .filter(|&(_, s, _)| s >= min)
+                    .map(|(i, s, _)| (i, s.to_bits()));
+                assert_eq!(pruned, expected, "at least {min}");
+            }
+            let pruned = reg
+                .best_two_name_match(&query)
+                .map(|(e, s, r)| (index_of(&reg, e), s, r));
+            assert_capped(pruned, linear, "best two");
+        },
+    );
 }
