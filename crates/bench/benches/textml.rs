@@ -141,7 +141,10 @@ fn write_textml_json(setup: &TrainSetup, pipe: &TextPipeline, docs: &[&str], see
     });
     let predict_naive = median_ns(PREDICT_RUNS, || {
         for d in docs {
-            black_box(pipe.ensemble().predict_proba(&pipe.featurize_naive(d)));
+            black_box(
+                pipe.ensemble()
+                    .predict_proba(&pipe.featurizer().featurize_naive(d)),
+            );
         }
     });
     let predict_fast = median_ns(PREDICT_RUNS, || {

@@ -1,23 +1,28 @@
 //! ASdb's ML component: the two binary website classifiers (§4.1).
 //!
 //! "We introduce two binary classifiers trained to identify hosting
-//! provider and ISP websites." Each is a full Figure 3 pipeline: scrape the
-//! domain (root + keyword internal pages), translate to English, count-
-//! vectorize, TF-IDF, SGD ensemble.
+//! provider and ISP websites." Both follow Figure 3: scrape the domain
+//! (root + keyword internal pages), translate to English, count-vectorize,
+//! TF-IDF, SGD ensemble. The two share everything up to the ensembles: the
+//! vectorizer and TF-IDF are fit on the same corpus and never see labels
+//! or seeds, so one fitted [`TextFeaturizer`] serves both and a page is
+//! featurized once.
 
 use asdb_model::{Domain, WorldSeed};
 use asdb_taxonomy::naicslite::known;
 use asdb_textml::pipeline::PipelineConfig;
-use asdb_textml::TextPipeline;
+use asdb_textml::{SgdEnsemble, TextFeaturizer};
 use asdb_websim::scraper::{scrape, ScrapeConfig};
 use asdb_websim::{Fetcher, Translator};
 use asdb_worldgen::World;
 
-/// The two trained classifiers plus the shared scraping/translation stack.
+/// The two trained classifiers plus the shared scraping, translation and
+/// featurization stack.
 #[derive(Debug, Clone)]
 pub struct MlClassifiers {
-    isp: TextPipeline,
-    hosting: TextPipeline,
+    featurizer: TextFeaturizer,
+    isp: SgdEnsemble,
+    hosting: SgdEnsemble,
     scrape_config: ScrapeConfig,
     translator: Translator,
 }
@@ -50,65 +55,40 @@ impl MlVerdict {
 
 impl MlClassifiers {
     /// Assemble the §4.1 training set from a world and train both
-    /// classifiers: "a labeled training set of 225 ASes, of which 150 ASes
-    /// are random and 75 ASes are sampled from D&B-labeled hosting
-    /// providers to provide sufficient hosting-class balance" (Table 2).
+    /// classifiers over one shared featurizer.
     pub fn train(world: &World, seed: WorldSeed) -> MlClassifiers {
         let translator = Translator::new(
             world.config.web.translation_loss,
             seed.derive("asdb-translate"),
         );
         let scrape_config = ScrapeConfig::default();
-
-        // 150 random ASes…
-        let mut train_orgs: Vec<_> = world
-            .sample_asns(150, "ml-train")
-            .into_iter()
-            .filter_map(|asn| world.org_of(asn))
-            .collect();
-        // …plus 75 hosting providers for class balance.
-        let hosting_orgs: Vec<_> = world
-            .orgs
-            .iter()
-            .filter(|o| o.category == known::hosting() && o.live_site)
-            .take(75)
-            .collect();
-        train_orgs.extend(hosting_orgs);
-
-        let mut docs: Vec<String> = Vec::new();
-        let mut isp_labels: Vec<bool> = Vec::new();
-        let mut hosting_labels: Vec<bool> = Vec::new();
-        for org in train_orgs {
-            let Some(domain) = &org.domain else { continue };
-            let Ok(res) = scrape(&world.web, domain, &scrape_config) else {
-                continue;
-            };
-            let text = translator.translate(&res.text);
-            docs.push(text);
-            let truth = org.truth();
-            isp_labels.push(truth.layer2s().contains(&known::isp()));
-            hosting_labels.push(truth.layer2s().contains(&known::hosting()));
-        }
+        let (docs, isp_labels, hosting_labels) =
+            training_corpus(world, &translator, &scrape_config);
         let doc_refs: Vec<&str> = docs.iter().map(String::as_str).collect();
         let config = PipelineConfig::asdb_default();
-        let mut cfg = config.clone();
-        cfg.vectorizer.min_df = 2;
-        // The two detectors share the corpus but nothing else: train them
-        // on parallel threads. Each fit is deterministic in its own
-        // derived seed, so the result is identical to sequential training.
+        let (featurizer, features) =
+            TextFeaturizer::fit_transform(&doc_refs, config.vectorizer.clone());
+        let n_features = featurizer.vocab_len();
+        // The two ensembles share the features but nothing else: train them
+        // on parallel threads. Each fit is deterministic in its own derived
+        // seed, so the result is identical to sequential training.
         let (isp, hosting) = std::thread::scope(|s| {
-            let isp_cfg = cfg.clone();
             let isp_handle = s.spawn(|| {
-                TextPipeline::fit(&doc_refs, &isp_labels, isp_cfg, seed.derive("isp-clf"))
+                config.fit_ensemble(&features, &isp_labels, n_features, seed.derive("isp-clf"))
             });
-            let hosting =
-                TextPipeline::fit(&doc_refs, &hosting_labels, cfg, seed.derive("hosting-clf"));
+            let hosting = config.fit_ensemble(
+                &features,
+                &hosting_labels,
+                n_features,
+                seed.derive("hosting-clf"),
+            );
             (
                 isp_handle.join().expect("isp classifier training panicked"),
                 hosting,
             )
         });
         MlClassifiers {
+            featurizer,
             isp,
             hosting,
             scrape_config,
@@ -123,28 +103,151 @@ impl MlClassifiers {
         if !res.is_substantive() {
             return None;
         }
-        let text = self.translator.translate(&res.text);
-        Some(MlVerdict {
-            p_isp: self.isp.predict_proba(&text),
-            p_hosting: self.hosting.predict_proba(&text),
-        })
+        Some(self.classify_text(&self.translator.translate(&res.text)))
     }
 
     /// Classify pre-scraped, pre-translated text (used by benches to
-    /// isolate inference cost).
+    /// isolate inference cost). The text is featurized once for both
+    /// detectors.
     pub fn classify_text(&self, text: &str) -> MlVerdict {
+        let x = self.featurizer.featurize(text);
         MlVerdict {
-            p_isp: self.isp.predict_proba(text),
-            p_hosting: self.hosting.predict_proba(text),
+            p_isp: self.isp.predict_proba(&x),
+            p_hosting: self.hosting.predict_proba(&x),
         }
     }
+}
+
+/// Assemble the §4.1 training set: "a labeled training set of 225 ASes, of
+/// which 150 ASes are random and 75 ASes are sampled from D&B-labeled
+/// hosting providers to provide sufficient hosting-class balance"
+/// (Table 2). Returns the translated page texts of the scrapable ones with
+/// their ISP and hosting labels.
+fn training_corpus(
+    world: &World,
+    translator: &Translator,
+    scrape_config: &ScrapeConfig,
+) -> (Vec<String>, Vec<bool>, Vec<bool>) {
+    // 150 random ASes…
+    let mut train_orgs: Vec<_> = world
+        .sample_asns(150, "ml-train")
+        .into_iter()
+        .filter_map(|asn| world.org_of(asn))
+        .collect();
+    // …plus 75 hosting providers for class balance.
+    let hosting_orgs: Vec<_> = world
+        .orgs
+        .iter()
+        .filter(|o| o.category == known::hosting() && o.live_site)
+        .take(75)
+        .collect();
+    train_orgs.extend(hosting_orgs);
+
+    let mut docs: Vec<String> = Vec::new();
+    let mut isp_labels: Vec<bool> = Vec::new();
+    let mut hosting_labels: Vec<bool> = Vec::new();
+    for org in train_orgs {
+        let Some(domain) = &org.domain else { continue };
+        let Ok(res) = scrape(&world.web, domain, scrape_config) else {
+            continue;
+        };
+        docs.push(translator.translate(&res.text));
+        let truth = org.truth();
+        isp_labels.push(truth.layer2s().contains(&known::isp()));
+        hosting_labels.push(truth.layer2s().contains(&known::hosting()));
+    }
+    (docs, isp_labels, hosting_labels)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use asdb_textml::Metrics;
+    use asdb_textml::{Metrics, TextPipeline};
+    use asdb_websim::SimWeb;
     use asdb_worldgen::WorldConfig;
+
+    /// The detectors before they shared a featurizer: two full pipelines,
+    /// each fitting its own vectorizer and TF-IDF on the same corpus. Kept
+    /// here only as the differential oracle for [`MlClassifiers`].
+    struct TwoPipelines {
+        isp: TextPipeline,
+        hosting: TextPipeline,
+        translator: Translator,
+    }
+
+    impl TwoPipelines {
+        fn train(world: &World, seed: WorldSeed) -> TwoPipelines {
+            let translator = Translator::new(
+                world.config.web.translation_loss,
+                seed.derive("asdb-translate"),
+            );
+            let (docs, isp_labels, hosting_labels) =
+                training_corpus(world, &translator, &ScrapeConfig::default());
+            let doc_refs: Vec<&str> = docs.iter().map(String::as_str).collect();
+            let mut cfg = PipelineConfig::asdb_default();
+            cfg.vectorizer.min_df = 2;
+            TwoPipelines {
+                isp: TextPipeline::fit(&doc_refs, &isp_labels, cfg.clone(), seed.derive("isp-clf")),
+                hosting: TextPipeline::fit(
+                    &doc_refs,
+                    &hosting_labels,
+                    cfg,
+                    seed.derive("hosting-clf"),
+                ),
+                translator,
+            }
+        }
+
+        fn classify_text(&self, text: &str) -> MlVerdict {
+            MlVerdict {
+                p_isp: self.isp.predict_proba(text),
+                p_hosting: self.hosting.predict_proba(text),
+            }
+        }
+
+        fn classify(&self, web: &SimWeb, domain: &Domain) -> Option<MlVerdict> {
+            let res = scrape(web, domain, &ScrapeConfig::default()).ok()?;
+            if !res.is_substantive() {
+                return None;
+            }
+            Some(self.classify_text(&self.translator.translate(&res.text)))
+        }
+    }
+
+    fn bits(v: MlVerdict) -> (u32, u32) {
+        (v.p_isp.to_bits(), v.p_hosting.to_bits())
+    }
+
+    /// One shared featurizer gives bit-equal verdicts to two independently
+    /// fitted pipelines on every domain of three standard worlds, through
+    /// both `classify` and `classify_text` on the untranslated page.
+    #[test]
+    fn shared_featurizer_matches_two_pipelines_on_standard_worlds() {
+        for s in 1..=3 {
+            let w = World::generate(WorldConfig::standard(WorldSeed::new(s)));
+            let seed = WorldSeed::new(s).derive("ml");
+            let ml = MlClassifiers::train(&w, seed);
+            let oracle = TwoPipelines::train(&w, seed);
+            let mut scored = 0usize;
+            for domain in w.orgs.iter().filter_map(|o| o.domain.as_ref()) {
+                let verdict = ml.classify(&w.web, domain);
+                assert_eq!(
+                    verdict.map(bits),
+                    oracle.classify(&w.web, domain).map(bits),
+                    "seed {s}, {domain}"
+                );
+                scored += usize::from(verdict.is_some());
+                if let Ok(page) = scrape(&w.web, domain, &ScrapeConfig::default()) {
+                    assert_eq!(
+                        bits(ml.classify_text(&page.text)),
+                        bits(oracle.classify_text(&page.text)),
+                        "seed {s}, {domain}"
+                    );
+                }
+            }
+            assert!(scored > 1_000, "seed {s}: only {scored} domains scored");
+        }
+    }
 
     fn world() -> World {
         World::generate(WorldConfig::standard(WorldSeed::new(2021)))

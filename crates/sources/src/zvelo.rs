@@ -29,7 +29,7 @@ use asdb_worldgen::World;
 use rand::rngs::StdRng;
 use rand::seq::IndexedRandom;
 use rand::{RngExt, SeedableRng};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 
 /// The simulated Zvelo service.
 #[derive(Debug, Clone)]
@@ -38,6 +38,7 @@ pub struct Zvelo {
     org_domain: HashMap<OrgId, Domain>,
     profile: ZveloProfile,
     translator: Translator,
+    index: VocabIndex,
     seed: WorldSeed,
 }
 
@@ -54,6 +55,7 @@ impl Zvelo {
             org_domain,
             profile: profile::ZVELO,
             translator: Translator::new(0.03, seed.derive("zvelo-mt")),
+            index: VocabIndex::build(vocabulary),
             seed: seed.derive("zvelo"),
         }
     }
@@ -63,32 +65,13 @@ impl Zvelo {
     pub fn classify_domain(&self, domain: &Domain) -> Option<(String, CategorySet)> {
         let result = scrape(&self.web, domain, &ScrapeConfig::default()).ok()?;
         let english = self.translator.translate(&result.text);
-        let tokens: HashSet<String> = english
-            .split(|c: char| !c.is_alphanumeric())
-            .filter(|t| t.len() >= 2)
-            .map(str::to_lowercase)
-            .collect();
-        if tokens.len() < 8 {
-            let cat = ZVELO.category("Parked Domains").expect("scheme has it");
-            return Some((cat.name.to_owned(), cat.to_naicslite()));
-        }
-        // Vocabulary-centroid scoring over all 95 layer-2 categories.
-        let mut best: Option<(f64, Layer2)> = None;
-        for l2 in Layer2::all() {
-            let vocab = vocabulary(l2);
-            let hits = vocab.iter().filter(|w| tokens.contains(**w)).count();
-            let score = hits as f64 / (vocab.len() as f64).sqrt();
-            match best {
-                Some((s, _)) if s >= score => {}
-                _ => best = Some((score, l2)),
+        match self.index.top_category(&english) {
+            Some(top) => Some(self.map_to_scheme(top, domain)),
+            None => {
+                let cat = ZVELO.category("Parked Domains").expect("scheme has it");
+                Some((cat.name.to_owned(), cat.to_naicslite()))
             }
         }
-        let (score, top) = best.expect("95 categories scored");
-        if score <= 0.0 {
-            let cat = ZVELO.category("Parked Domains").expect("scheme has it");
-            return Some((cat.name.to_owned(), cat.to_naicslite()));
-        }
-        Some(self.map_to_scheme(top, domain))
     }
 
     /// Zvelo's taxonomy mapping with the calibrated ambiguity noise.
@@ -133,6 +116,113 @@ impl Zvelo {
     }
 }
 
+/// The number of layer-2 categories Zvelo's content classifier scores.
+const N_LAYER2: usize = 95;
+
+/// A page with fewer distinct tokens than this is parked.
+const MIN_DISTINCT_TOKENS: usize = 8;
+
+/// The vocabulary-centroid scorer behind Zvelo's content classifier: an
+/// inverted index from each vocabulary word to the layer-2 categories that
+/// list it, with how many times each lists it.
+///
+/// A category scores `hits / sqrt(vocabulary length)`, where `hits` counts
+/// its vocabulary entries (duplicates counting each time) that occur among
+/// the page's distinct lowercased tokens of two or more bytes. The index
+/// finds every category's hits with one lookup per distinct token.
+#[derive(Debug, Clone)]
+struct VocabIndex {
+    /// Word → slot in `postings`.
+    slots: HashMap<&'static str, usize>,
+    /// Per word slot: `(category index in Layer2::all() order, times listed)`.
+    postings: Vec<Vec<(u8, u32)>>,
+    /// `sqrt(vocabulary length)` per category.
+    norms: [f64; N_LAYER2],
+    /// The categories in `Layer2::all()` order.
+    categories: [Layer2; N_LAYER2],
+}
+
+impl VocabIndex {
+    /// Index the vocabulary `vocab` gives each layer-2 category.
+    fn build(vocab: impl Fn(Layer2) -> &'static [&'static str]) -> VocabIndex {
+        let categories: Vec<Layer2> = Layer2::all().collect();
+        let categories: [Layer2; N_LAYER2] = categories.try_into().expect("95 layer-2 categories");
+        let mut slots: HashMap<&'static str, usize> = HashMap::new();
+        let mut postings: Vec<Vec<(u8, u32)>> = Vec::new();
+        let mut norms = [0.0; N_LAYER2];
+        for (c, &l2) in categories.iter().enumerate() {
+            let words = vocab(l2);
+            norms[c] = (words.len() as f64).sqrt();
+            for &w in words {
+                let slot = *slots.entry(w).or_insert_with(|| {
+                    postings.push(Vec::new());
+                    postings.len() - 1
+                });
+                match postings[slot].last_mut() {
+                    Some((last, n)) if *last as usize == c => *n += 1,
+                    _ => postings[slot].push((c as u8, 1)),
+                }
+            }
+        }
+        VocabIndex {
+            slots,
+            postings,
+            norms,
+            categories,
+        }
+    }
+
+    /// The best-scoring category for a page's English text; `None` when the
+    /// page is parked (fewer than eight distinct tokens, or no vocabulary
+    /// hit at all). Ties go to the earlier category in `Layer2::all()`.
+    fn top_category(&self, english: &str) -> Option<Layer2> {
+        let mut hits = [0usize; N_LAYER2];
+        let mut seen = vec![false; self.postings.len()];
+        // The parked check needs only the first eight distinct tokens.
+        let mut distinct: Vec<String> = Vec::with_capacity(MIN_DISTINCT_TOKENS);
+        let mut token = String::new();
+        for raw in english
+            .split(|c: char| !c.is_alphanumeric())
+            .filter(|t| t.len() >= 2)
+        {
+            token.clear();
+            if raw.is_ascii() {
+                token.push_str(raw);
+                token.make_ascii_lowercase();
+            } else {
+                token.push_str(&raw.to_lowercase());
+            }
+            if distinct.len() < MIN_DISTINCT_TOKENS && !distinct.contains(&token) {
+                distinct.push(token.clone());
+            }
+            if let Some(&slot) = self.slots.get(token.as_str()) {
+                if !seen[slot] {
+                    seen[slot] = true;
+                    for &(c, n) in &self.postings[slot] {
+                        hits[c as usize] += n as usize;
+                    }
+                }
+            }
+        }
+        if distinct.len() < MIN_DISTINCT_TOKENS {
+            return None;
+        }
+        let mut best: Option<(f64, usize)> = None;
+        for (c, (&h, &norm)) in hits.iter().zip(&self.norms).enumerate() {
+            let score = h as f64 / norm;
+            match best {
+                Some((s, _)) if s >= score => {}
+                _ => best = Some((score, c)),
+            }
+        }
+        let (score, top) = best.expect("95 categories scored");
+        if score <= 0.0 {
+            return None;
+        }
+        Some(self.categories[top])
+    }
+}
+
 impl DataSource for Zvelo {
     fn id(&self) -> SourceId {
         SourceId::Zvelo
@@ -171,6 +261,136 @@ mod tests {
     use super::*;
     use asdb_model::WorldSeed;
     use asdb_worldgen::WorldConfig;
+    use std::collections::HashSet;
+
+    /// The scorer before the index: a `HashSet` of the page's lowercased
+    /// tokens probed word by word for every category's vocabulary. Kept
+    /// here only as the differential oracle for [`VocabIndex`].
+    fn classify_domain_hashset(z: &Zvelo, domain: &Domain) -> Option<(String, CategorySet)> {
+        let result = scrape(&z.web, domain, &ScrapeConfig::default()).ok()?;
+        let english = z.translator.translate(&result.text);
+        let tokens: HashSet<String> = english
+            .split(|c: char| !c.is_alphanumeric())
+            .filter(|t| t.len() >= 2)
+            .map(str::to_lowercase)
+            .collect();
+        if tokens.len() < 8 {
+            let cat = ZVELO.category("Parked Domains").expect("scheme has it");
+            return Some((cat.name.to_owned(), cat.to_naicslite()));
+        }
+        let mut best: Option<(f64, Layer2)> = None;
+        for l2 in Layer2::all() {
+            let vocab = vocabulary(l2);
+            let hits = vocab.iter().filter(|w| tokens.contains(**w)).count();
+            let score = hits as f64 / (vocab.len() as f64).sqrt();
+            match best {
+                Some((s, _)) if s >= score => {}
+                _ => best = Some((score, l2)),
+            }
+        }
+        let (score, top) = best.expect("95 categories scored");
+        if score <= 0.0 {
+            let cat = ZVELO.category("Parked Domains").expect("scheme has it");
+            return Some((cat.name.to_owned(), cat.to_naicslite()));
+        }
+        Some(z.map_to_scheme(top, domain))
+    }
+
+    /// The indexed scorer returns what the `HashSet` scorer returns on every
+    /// domain of three standard worlds.
+    #[test]
+    fn index_matches_hashset_scorer_on_standard_worlds() {
+        for s in 1..=3 {
+            let w = World::generate(WorldConfig::standard(WorldSeed::new(s)));
+            let z = Zvelo::build(&w, WorldSeed::new(s).derive("sources"));
+            let mut classified = 0usize;
+            for domain in w.orgs.iter().filter_map(|o| o.domain.as_ref()) {
+                let got = z.classify_domain(domain);
+                assert_eq!(
+                    got,
+                    classify_domain_hashset(&z, domain),
+                    "seed {s}, {domain}"
+                );
+                classified += usize::from(got.is_some());
+            }
+            assert!(classified > 1_000, "seed {s}: only {classified} classified");
+        }
+    }
+
+    /// A made-up vocabulary: `Layer2::all()`'s first three categories list
+    /// the given words, every other category one word no test page uses.
+    fn toy_index(first: [&'static [&'static str]; 3]) -> (VocabIndex, Vec<Layer2>) {
+        let order: Vec<Layer2> = Layer2::all().collect();
+        let lists = order.clone();
+        let index = VocabIndex::build(move |l2| {
+            match lists
+                .iter()
+                .position(|&c| c == l2)
+                .expect("a layer-2 category")
+            {
+                i @ 0..=2 => first[i],
+                _ => &["unused"],
+            }
+        });
+        (index, order)
+    }
+
+    /// Eight distinct filler tokens, none in any toy vocabulary.
+    const FILLER: &str = "aa bb cc dd ee ff gg hh";
+
+    #[test]
+    fn index_counts_a_word_listed_twice_twice() {
+        // Category 1 lists "cloud" twice: one token gives it 2 / sqrt(4)
+        // = 1.0, beating category 0's 1 / sqrt(2) ~ 0.71 from "cloud" too.
+        let (index, order) = toy_index([
+            &["cloud", "server"],
+            &["cloud", "cloud", "rack", "power"],
+            &["farm"],
+        ]);
+        assert_eq!(
+            index.top_category(&format!("{FILLER} cloud")),
+            Some(order[1])
+        );
+        // A page naming the word once or many times scores the same.
+        assert_eq!(
+            index.top_category(&format!("{FILLER} cloud Cloud cloud")),
+            Some(order[1])
+        );
+    }
+
+    #[test]
+    fn index_ties_go_to_the_earlier_category() {
+        let (index, order) =
+            toy_index([&["alpha", "beta"], &["gamma", "delta"], &["alpha", "gamma"]]);
+        // Categories 0 and 2 tie at 1 / sqrt(2); category 0 is earlier.
+        assert_eq!(
+            index.top_category(&format!("{FILLER} alpha")),
+            Some(order[0])
+        );
+        // Categories 0 and 2 tie at two hits; category 1 has one.
+        assert_eq!(
+            index.top_category(&format!("{FILLER} beta alpha gamma")),
+            Some(order[0])
+        );
+        // Categories 1 and 2 tie at two hits; category 0 has one.
+        assert_eq!(
+            index.top_category(&format!("{FILLER} gamma delta alpha")),
+            Some(order[1])
+        );
+    }
+
+    #[test]
+    fn index_parks_pages_below_eight_distinct_lowercased_tokens() {
+        let (index, order) = toy_index([&["cloud"], &["rack"], &["farm"]]);
+        // Seven distinct tokens once case is folded (nine raw spellings).
+        let seven = "Cloud CLOUD cloud aa bb cc dd ee ff";
+        assert_eq!(index.top_category(seven), None);
+        assert_eq!(index.top_category(&format!("{seven} gg")), Some(order[0]));
+        // One-byte tokens do not count toward the eight.
+        assert_eq!(index.top_category(&format!("{seven} g h i")), None);
+        // Eight distinct tokens but no vocabulary hit: parked too.
+        assert_eq!(index.top_category(FILLER), None);
+    }
 
     fn setup() -> (World, Zvelo) {
         let w = World::generate(WorldConfig::small(WorldSeed::new(51)));

@@ -23,8 +23,9 @@
 //!   plus a seeded bagging [`sgd::SgdEnsemble`],
 //! * [`metrics`]: accuracy, precision/recall/F1, confusion matrices, and
 //!   rank-based ROC AUC,
-//! * [`pipeline`]: the end-to-end text → verdict classifier used by ASdb's
-//!   ISP and hosting detectors.
+//! * [`pipeline`]: the shared text → TF-IDF featurizer and the end-to-end
+//!   text → verdict classifier; ASdb's ISP and hosting detectors are one
+//!   featurizer feeding two ensembles.
 //!
 //! Everything is implemented directly over `Vec`/sparse pairs — no external
 //! ML or linear-algebra dependencies ("thin NLP/ML ecosystem" is exactly
@@ -51,7 +52,7 @@ pub mod vectorize;
 
 pub use cv::{cross_validate, CvResult};
 pub use metrics::{BinaryConfusion, Metrics};
-pub use pipeline::TextPipeline;
+pub use pipeline::{TextFeaturizer, TextPipeline};
 pub use sgd::{Loss, SgdClassifier, SgdEnsemble};
 pub use tfidf::TfidfTransformer;
 pub use tokenize::{for_each_token, tokens};

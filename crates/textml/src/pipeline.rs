@@ -1,5 +1,7 @@
 //! The end-to-end text classifier: CountVectorizer → TF-IDF → SGD ensemble
-//! (the right half of Figure 3, after scraping and translation).
+//! (the right half of Figure 3, after scraping and translation). The
+//! feature transform is its own type, [`TextFeaturizer`], so several
+//! ensembles can share one.
 
 use crate::sgd::{SgdConfig, SgdEnsemble};
 use crate::tfidf::TfidfTransformer;
@@ -32,52 +34,50 @@ impl PipelineConfig {
             n_members: 3,
         }
     }
-}
 
-/// A fitted raw-text → binary-verdict classifier.
-#[derive(Debug, Clone)]
-pub struct TextPipeline {
-    vectorizer: CountVectorizer,
-    tfidf: TfidfTransformer,
-    ensemble: SgdEnsemble,
-}
-
-impl TextPipeline {
-    /// Fit the full pipeline on labeled documents.
-    ///
-    /// The hot path is allocation- and compute-lean end to end: the
-    /// vectorizer tokenizes each document once (borrowed tokens) and
-    /// replays the stream for the transform pass, and the ensemble trains
-    /// its members on parallel threads with the O(nnz) lazy-scaled SGD.
-    ///
-    /// Panics if `docs` and `labels` have different lengths.
-    pub fn fit(
-        docs: &[&str],
+    /// Fit this configuration's SGD ensemble on featurized documents.
+    pub fn fit_ensemble(
+        &self,
+        features: &[SparseVec],
         labels: &[bool],
-        config: PipelineConfig,
+        n_features: usize,
         seed: WorldSeed,
-    ) -> TextPipeline {
-        assert_eq!(docs.len(), labels.len(), "docs and labels must be parallel");
-        let mut vectorizer = CountVectorizer::new(config.vectorizer);
-        let counts = vectorizer.fit_transform(docs);
-        let (tfidf, features) = TfidfTransformer::fit_transform(&counts);
-        let n_features = vectorizer.vocab_len();
-        let ensemble = SgdEnsemble::fit(
-            &features,
+    ) -> SgdEnsemble {
+        SgdEnsemble::fit(
+            features,
             labels,
             n_features,
-            config.sgd,
+            self.sgd.clone(),
             seed,
-            config.n_members.max(1),
-        );
-        TextPipeline {
-            vectorizer,
-            tfidf,
-            ensemble,
-        }
+            self.n_members.max(1),
+        )
+    }
+}
+
+/// A fitted raw-text → TF-IDF feature transform: the "Count Vectorizer"
+/// and "TF ID Transformer" boxes of Figure 3. Neither sees labels or
+/// seeds, so classifiers trained on the same corpus can share one.
+#[derive(Debug, Clone)]
+pub struct TextFeaturizer {
+    vectorizer: CountVectorizer,
+    tfidf: TfidfTransformer,
+}
+
+impl TextFeaturizer {
+    /// Fit the vocabulary and IDF weights on a corpus and return the
+    /// featurized corpus. The vectorizer tokenizes each document once
+    /// (borrowed tokens) and replays the stream for the transform pass.
+    pub fn fit_transform(
+        docs: &[&str],
+        config: VectorizerConfig,
+    ) -> (TextFeaturizer, Vec<SparseVec>) {
+        let mut vectorizer = CountVectorizer::new(config);
+        let counts = vectorizer.fit_transform(docs);
+        let (tfidf, features) = TfidfTransformer::fit_transform(&counts);
+        (TextFeaturizer { vectorizer, tfidf }, features)
     }
 
-    /// Transform a raw document into the pipeline's feature space.
+    /// Transform a raw document into the fitted feature space.
     pub fn featurize(&self, doc: &str) -> SparseVec {
         self.tfidf.transform(&self.vectorizer.transform(doc))
     }
@@ -88,6 +88,50 @@ impl TextPipeline {
     pub fn featurize_naive(&self, doc: &str) -> SparseVec {
         self.tfidf
             .transform_naive(&self.vectorizer.transform_naive(doc))
+    }
+
+    /// Vocabulary size after fitting.
+    pub fn vocab_len(&self) -> usize {
+        self.vectorizer.vocab_len()
+    }
+}
+
+/// A fitted raw-text → binary-verdict classifier: a [`TextFeaturizer`]
+/// feeding one SGD ensemble.
+#[derive(Debug, Clone)]
+pub struct TextPipeline {
+    featurizer: TextFeaturizer,
+    ensemble: SgdEnsemble,
+}
+
+impl TextPipeline {
+    /// Fit the full pipeline on labeled documents. The ensemble trains its
+    /// members on parallel threads with the O(nnz) lazy-scaled SGD.
+    ///
+    /// Panics if `docs` and `labels` have different lengths.
+    pub fn fit(
+        docs: &[&str],
+        labels: &[bool],
+        config: PipelineConfig,
+        seed: WorldSeed,
+    ) -> TextPipeline {
+        assert_eq!(docs.len(), labels.len(), "docs and labels must be parallel");
+        let (featurizer, features) = TextFeaturizer::fit_transform(docs, config.vectorizer.clone());
+        let ensemble = config.fit_ensemble(&features, labels, featurizer.vocab_len(), seed);
+        TextPipeline {
+            featurizer,
+            ensemble,
+        }
+    }
+
+    /// Transform a raw document into the pipeline's feature space.
+    pub fn featurize(&self, doc: &str) -> SparseVec {
+        self.featurizer.featurize(doc)
+    }
+
+    /// The fitted feature transform.
+    pub fn featurizer(&self) -> &TextFeaturizer {
+        &self.featurizer
     }
 
     /// The trained ensemble (exposed so benches can time inference on
@@ -113,7 +157,7 @@ impl TextPipeline {
 
     /// Vocabulary size after fitting.
     pub fn vocab_len(&self) -> usize {
-        self.vectorizer.vocab_len()
+        self.featurizer.vocab_len()
     }
 }
 
@@ -210,7 +254,8 @@ mod tests {
             "zzz qqq unknown words",
             "",
         ] {
-            assert_eq!(p.featurize(doc), p.featurize_naive(doc), "{doc:?}");
+            let f = p.featurizer();
+            assert_eq!(f.featurize(doc), f.featurize_naive(doc), "{doc:?}");
         }
     }
 }

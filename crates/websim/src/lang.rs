@@ -40,18 +40,19 @@ impl Language {
         Language::Tarvic,
     ];
 
-    /// The word-level suffix marker this language appends.
-    fn suffix(self) -> &'static str {
+    /// The word-level marker this language appends: `x` plus the
+    /// language's two- or three-letter suffix.
+    fn marker(self) -> &'static str {
         match self {
             Language::English => "",
-            Language::Zonal => "zo",
-            Language::Vexic => "vex",
-            Language::Quorin => "qu",
-            Language::Navese => "nav",
-            Language::Kirish => "ki",
-            Language::Ostal => "ost",
-            Language::Melodian => "mel",
-            Language::Tarvic => "tar",
+            Language::Zonal => "xzo",
+            Language::Vexic => "xvex",
+            Language::Quorin => "xqu",
+            Language::Navese => "xnav",
+            Language::Kirish => "xki",
+            Language::Ostal => "xost",
+            Language::Melodian => "xmel",
+            Language::Tarvic => "xtar",
         }
     }
 
@@ -60,7 +61,7 @@ impl Language {
         if self == Language::English || word.is_empty() {
             return word.to_owned();
         }
-        format!("{}x{}", word, self.suffix())
+        format!("{word}{}", self.marker())
     }
 
     /// Transform whole text (word-by-word, preserving whitespace shape).
@@ -81,9 +82,10 @@ impl Language {
 
     /// Detect the language of a text by its dominant suffix marker,
     /// matched case-insensitively. ASCII words, the usual case, are
-    /// compared in place; other words are lowercased once.
+    /// compared in place; other words are lowercased once. A word is only
+    /// compared against the markers when it has an `x` where a three- or
+    /// four-byte marker would start.
     pub fn detect(text: &str) -> Language {
-        let markers = Language::NON_ENGLISH.map(|lang| ["x", lang.suffix()].concat());
         let mut counts = [0usize; 8];
         let mut words = 0usize;
         for w in text.split_whitespace() {
@@ -95,8 +97,13 @@ impl Language {
                 lowered = w.to_lowercase();
                 lowered.as_bytes()
             };
-            for (count, marker) in counts.iter_mut().zip(&markers) {
-                if ends_with_ignore_ascii_case(w, marker.as_bytes()) {
+            let x_at =
+                |back: usize| w.len() >= back && w[w.len() - back].eq_ignore_ascii_case(&b'x');
+            if !(x_at(3) || x_at(4)) {
+                continue;
+            }
+            for (count, lang) in counts.iter_mut().zip(Language::NON_ENGLISH) {
+                if ends_with_ignore_ascii_case(w, lang.marker().as_bytes()) {
                     *count += 1;
                 }
             }
@@ -142,33 +149,40 @@ impl Translator {
     /// Translate text to English. English input passes through unchanged
     /// (and without loss — the translator is only invoked on foreign text
     /// in the pipeline, but being idempotent on English is safer).
+    ///
+    /// Foreign text is written word by word into one output buffer. A
+    /// lossy translator draws one loss decision per `' '`-separated word
+    /// of each line, empty words included, and a lost word takes its
+    /// separating space with it.
     pub fn translate(&self, text: &str) -> String {
         let lang = Language::detect(text);
         if lang == Language::English {
             return text.to_owned();
         }
-        let marker = format!("x{}", lang.suffix());
+        let marker = lang.marker();
         let mut rng = StdRng::seed_from_u64(
             self.seed
                 .derive_index("translate", text.len() as u64)
                 .value(),
         );
-        text.split('\n')
-            .map(|line| {
-                line.split(' ')
-                    .filter_map(|w| {
-                        let restored = strip_marker(w, &marker);
-                        if self.loss_rate > 0.0 && rng.random_bool(self.loss_rate) {
-                            None
-                        } else {
-                            Some(restored)
-                        }
-                    })
-                    .collect::<Vec<_>>()
-                    .join(" ")
-            })
-            .collect::<Vec<_>>()
-            .join("\n")
+        let mut out = String::with_capacity(text.len());
+        for (i, line) in text.split('\n').enumerate() {
+            if i > 0 {
+                out.push('\n');
+            }
+            let mut first = true;
+            for word in line.split(' ') {
+                if self.loss_rate > 0.0 && rng.random_bool(self.loss_rate) {
+                    continue;
+                }
+                if !first {
+                    out.push(' ');
+                }
+                first = false;
+                push_stripped(&mut out, word, marker);
+            }
+        }
+        out
     }
 }
 
@@ -178,29 +192,35 @@ fn ends_with_ignore_ascii_case(word: &[u8], marker: &[u8]) -> bool {
     word.len() >= marker.len() && word[word.len() - marker.len()..].eq_ignore_ascii_case(marker)
 }
 
-/// Strip a language marker from a word, preserving trailing punctuation.
-fn strip_marker(word: &str, marker: &str) -> String {
-    let trailing: String = word
-        .chars()
-        .rev()
-        .take_while(|c| !c.is_alphanumeric())
-        .collect::<Vec<_>>()
-        .into_iter()
-        .rev()
-        .collect();
-    let core = &word[..word.len() - trailing.len()];
-    let stripped = core
-        .strip_suffix(marker)
-        .or_else(|| {
-            // Case-tolerant strip.
-            if core.to_lowercase().ends_with(marker) {
-                Some(&core[..core.len() - marker.len()])
-            } else {
-                None
-            }
-        })
-        .unwrap_or(core);
-    format!("{stripped}{trailing}")
+/// Append `word` with its language marker stripped, preserving trailing
+/// punctuation.
+fn push_stripped(out: &mut String, word: &str, marker: &str) {
+    let core = word.trim_end_matches(|c: char| !c.is_alphanumeric());
+    out.push_str(strip_marker(core, marker));
+    out.push_str(&word[core.len()..]);
+}
+
+/// `core` without its trailing lowercase-ASCII `marker`, matched
+/// case-insensitively; `core` itself when it does not end with one. ASCII
+/// words compare bytes. Other words fold char by char from the end, so the
+/// cut lands on a char boundary even where folding changes a char's length
+/// (the three-byte Kelvin sign lowercases to `k`).
+fn strip_marker<'a>(core: &'a str, marker: &str) -> &'a str {
+    if core.is_ascii() {
+        return if ends_with_ignore_ascii_case(core.as_bytes(), marker.as_bytes()) {
+            &core[..core.len() - marker.len()]
+        } else {
+            core
+        };
+    }
+    let mut rest = core.chars();
+    for m in marker.chars().rev() {
+        match rest.next_back() {
+            Some(c) if c.to_lowercase().eq([m]) => {}
+            _ => return core,
+        }
+    }
+    rest.as_str()
 }
 
 #[cfg(test)]
@@ -267,10 +287,25 @@ mod tests {
     }
 
     #[test]
+    fn case_tolerant_strip_cuts_on_char_boundaries() {
+        // The Kelvin sign lowercases to an ASCII `k`, so "X\u{212A}I" folds
+        // to the three-byte marker "xki" while spanning five bytes.
+        let tr = Translator::perfect(WorldSeed::new(7));
+        assert_eq!(
+            tr.translate("aX\u{212A}I fooxki barxki bazxki"),
+            "a foo bar baz"
+        );
+        assert_eq!(
+            tr.translate("FIBERXZO netxzo, \u{e9}t\u{e9}xzo  webxzo\n\nhostxzo!"),
+            "FIBER net, \u{e9}t\u{e9}  web\n\nhost!"
+        );
+    }
+
+    #[test]
     fn suffixes_are_unique() {
         let mut seen = std::collections::HashSet::new();
         for l in Language::NON_ENGLISH {
-            assert!(seen.insert(l.suffix()), "duplicate suffix {}", l.suffix());
+            assert!(seen.insert(l.marker()), "duplicate marker {}", l.marker());
         }
     }
 

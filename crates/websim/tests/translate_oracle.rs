@@ -1,0 +1,232 @@
+//! Differential tests of the translator against the word-by-word
+//! implementation it replaced, which lives here and only here as the
+//! oracle.
+//!
+//! The translator writes into one output buffer, strips ASCII words by
+//! slicing and folds other words char by char. These tests pin that its
+//! output equals the oracle's on every page of three standard worlds for
+//! the ML, Zvelo and lossless translators, and on random mangled texts
+//! wherever the oracle returns at all: the oracle slices non-ASCII words at
+//! a byte offset and panics when that offset falls inside a char.
+
+use asdb_model::WorldSeed;
+use asdb_websim::scraper::{scrape, ScrapeConfig};
+use asdb_websim::{Language, Translator};
+use asdb_worldgen::{World, WorldConfig};
+use rand::check::{self, any_string, class_string, vec_of};
+use rand::rngs::StdRng;
+use rand::RngExt;
+use std::panic::{catch_unwind, AssertUnwindSafe};
+
+/// The replaced translator: per-word `String`s joined per line, a marker
+/// list built per detection, and a case-tolerant strip at a byte offset.
+mod oracle {
+    use asdb_model::WorldSeed;
+    use asdb_websim::Language;
+    use rand::rngs::StdRng;
+    use rand::{RngExt, SeedableRng};
+
+    /// `x` plus the language's suffix, read off its word transform.
+    fn marker(lang: Language) -> String {
+        lang.mangle_word("w")[1..].to_owned()
+    }
+
+    fn ends_with_ignore_ascii_case(word: &[u8], marker: &[u8]) -> bool {
+        word.len() >= marker.len() && word[word.len() - marker.len()..].eq_ignore_ascii_case(marker)
+    }
+
+    pub fn detect(text: &str) -> Language {
+        let markers = Language::NON_ENGLISH.map(marker);
+        let mut counts = [0usize; 8];
+        let mut words = 0usize;
+        for w in text.split_whitespace() {
+            words += 1;
+            let lowered;
+            let w = if w.is_ascii() {
+                w.as_bytes()
+            } else {
+                lowered = w.to_lowercase();
+                lowered.as_bytes()
+            };
+            for (count, marker) in counts.iter_mut().zip(&markers) {
+                if ends_with_ignore_ascii_case(w, marker.as_bytes()) {
+                    *count += 1;
+                }
+            }
+        }
+        if words == 0 {
+            return Language::English;
+        }
+        let (best, &n) = counts
+            .iter()
+            .enumerate()
+            .max_by_key(|(_, &c)| c)
+            .expect("fixed-size array");
+        if n * 2 >= words {
+            Language::NON_ENGLISH[best]
+        } else {
+            Language::English
+        }
+    }
+
+    pub fn translate(loss_rate: f64, seed: WorldSeed, text: &str) -> String {
+        let lang = detect(text);
+        if lang == Language::English {
+            return text.to_owned();
+        }
+        let marker = marker(lang);
+        let mut rng =
+            StdRng::seed_from_u64(seed.derive_index("translate", text.len() as u64).value());
+        text.split('\n')
+            .map(|line| {
+                line.split(' ')
+                    .filter_map(|w| {
+                        let restored = strip_marker(w, &marker);
+                        if loss_rate > 0.0 && rng.random_bool(loss_rate) {
+                            None
+                        } else {
+                            Some(restored)
+                        }
+                    })
+                    .collect::<Vec<_>>()
+                    .join(" ")
+            })
+            .collect::<Vec<_>>()
+            .join("\n")
+    }
+
+    fn strip_marker(word: &str, marker: &str) -> String {
+        let trailing: String = word
+            .chars()
+            .rev()
+            .take_while(|c| !c.is_alphanumeric())
+            .collect::<Vec<_>>()
+            .into_iter()
+            .rev()
+            .collect();
+        let core = &word[..word.len() - trailing.len()];
+        let stripped = core
+            .strip_suffix(marker)
+            .or_else(|| {
+                if core.to_lowercase().ends_with(marker) {
+                    Some(&core[..core.len() - marker.len()])
+                } else {
+                    None
+                }
+            })
+            .unwrap_or(core);
+        format!("{stripped}{trailing}")
+    }
+}
+
+/// The translators the system runs, each named and with the loss rate and
+/// seed the oracle replays it from: the ML detectors' and Zvelo's as
+/// `AsdbSystem` derives them, and a lossless one.
+fn translators(world: &World, s: u64) -> [(&'static str, Translator, f64, WorldSeed); 3] {
+    let ml_seed = WorldSeed::new(s).derive("ml").derive("asdb-translate");
+    let zvelo_seed = WorldSeed::new(s).derive("sources").derive("zvelo-mt");
+    let loss = world.config.web.translation_loss;
+    [
+        ("ml", Translator::new(loss, ml_seed), loss, ml_seed),
+        ("zvelo", Translator::new(0.03, zvelo_seed), 0.03, zvelo_seed),
+        (
+            "lossless",
+            Translator::perfect(WorldSeed::new(s)),
+            0.0,
+            WorldSeed::new(s),
+        ),
+    ]
+}
+
+#[test]
+fn translate_matches_oracle_on_standard_worlds() {
+    for s in 1..=3 {
+        let w = World::generate(WorldConfig::standard(WorldSeed::new(s)));
+        let translators = translators(&w, s);
+        let mut foreign = 0usize;
+        for domain in w.orgs.iter().filter_map(|o| o.domain.as_ref()) {
+            let Ok(page) = scrape(&w.web, domain, &ScrapeConfig::default()) else {
+                continue;
+            };
+            let lang = Language::detect(&page.text);
+            assert_eq!(lang, oracle::detect(&page.text), "seed {s}, {domain}");
+            foreign += usize::from(lang != Language::English);
+            for (name, tr, loss, seed) in &translators {
+                assert_eq!(
+                    tr.translate(&page.text),
+                    oracle::translate(*loss, *seed, &page.text),
+                    "seed {s}, {name} translator, {domain}"
+                );
+            }
+        }
+        assert!(foreign > 500, "seed {s}: only {foreign} foreign pages");
+    }
+}
+
+/// One word of a mangled test text: clean, capitalized, punctuated,
+/// non-ASCII or empty, carrying the language marker in any case (with the
+/// Kelvin sign standing in for `k`) or no marker at all.
+fn arb_word(rng: &mut StdRng, lang: Language) -> String {
+    let stem = match rng.random_range(0..6) {
+        0 => String::new(),
+        1 => any_string(rng, 1..=4),
+        2 => class_string(rng, "A-Z", 1..=6),
+        _ => class_string(rng, "a-z0-9", 1..=8),
+    };
+    let marked = lang.mangle_word(&stem);
+    let marked = match rng.random_range(0..6) {
+        0 => stem,
+        1 => marked.to_uppercase(),
+        2 => marked.replace('k', "\u{212A}"),
+        3 => marked.replace('k', "\u{212A}").replace('i', "I"),
+        _ => marked,
+    };
+    let tail = match rng.random_range(0..4) {
+        0 => class_string(rng, ".,!?;:)\"'", 1..=2),
+        1 => any_string(rng, 0..=1),
+        _ => String::new(),
+    };
+    marked + &tail
+}
+
+/// A mangled text: lines (some empty) of words joined by single spaces,
+/// so empty words make double spaces.
+fn arb_text(rng: &mut StdRng) -> String {
+    let lang = Language::NON_ENGLISH[rng.random_range(0..8)];
+    let lines = vec_of(rng, 1..5, |r| {
+        vec_of(r, 0..12, |r| arb_word(r, lang)).join(" ")
+    });
+    lines.join("\n")
+}
+
+#[test]
+fn translate_matches_oracle_wherever_it_returns() {
+    let translators = [
+        (
+            Translator::perfect(WorldSeed::new(8)),
+            0.0,
+            WorldSeed::new(8),
+        ),
+        (
+            Translator::new(0.3, WorldSeed::new(9)),
+            0.3,
+            WorldSeed::new(9),
+        ),
+    ];
+    let (mut returned, mut panicked) = (0usize, 0usize);
+    check::cases(2_048, arb_text, |text| {
+        for (tr, loss, seed) in &translators {
+            let got = tr.translate(&text);
+            match catch_unwind(AssertUnwindSafe(|| oracle::translate(*loss, *seed, &text))) {
+                Ok(want) => {
+                    assert_eq!(got, want);
+                    returned += 1;
+                }
+                Err(_) => panicked += 1,
+            }
+        }
+    });
+    // The draws reach both the common case and the oracle's panic.
+    assert!(returned > 3_000, "oracle returned on {returned} texts");
+    assert!(panicked > 0, "no draw hit a mid-char cut");
+}
