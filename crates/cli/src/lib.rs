@@ -122,9 +122,6 @@ pub enum Command {
         seed: u64,
         /// Worker threads.
         threads: usize,
-        /// Classify each AS this many times (duplicate-heavy workload that
-        /// exercises cache reuse and single-flight coalescing).
-        dup: usize,
         /// Optional path to dump the telemetry snapshot (JSON).
         metrics_out: Option<String>,
         /// Source-transport tuning.
@@ -164,23 +161,20 @@ USAGE:
                 [--fault-rate R] [--source-timeout-ms N] [--retries N]
   asdb lookup   --asn N [--scale small|standard] [--seed N] [--metrics FILE]
                 [--fault-rate R] [--source-timeout-ms N] [--retries N]
-  asdb metrics  [--scale small|standard] [--seed N] [--threads N] [--dup N]
+  asdb metrics  [--scale small|standard] [--seed N] [--threads N]
                 [--metrics FILE]
                 [--fault-rate R] [--source-timeout-ms N] [--retries N]
   asdb report   [--scale small|standard] [--seed N]
   asdb help
 
 Defaults: --scale small, --seed = the canonical experiment seed, --threads 4.
-The batch scheduler cuts the input into ~4 chunks per worker and the
-organization cache uses next_power_of_two(4 x cores) shards.
+The batch scheduler cuts the input into ~4 chunks per worker.
 
 The metrics subcommand classifies every AS in the world (with the
 organization cache) and prints the pipeline telemetry report: per-stage
 counters (Table 8's rows), per-source query/match/reject counts, domain-
-selection outcomes, ML fire/override counts, cache hit/coalesce rates,
-scheduler chunk/steal counts, and latency histograms. --dup N classifies
-each AS N times (a duplicate-heavy workload that exercises cache reuse and
-single-flight miss coalescing). On classify-style commands,
+selection outcomes, ML fire/override counts, cache hit rates, scheduler
+chunk/steal counts, and latency histograms. On classify-style commands,
 --metrics FILE writes the same data as a JSON registry snapshot after the
 run.
 
@@ -206,7 +200,6 @@ impl Command {
         let mut metrics_out: Option<String> = None;
         let mut asns: Vec<Asn> = Vec::new();
         let mut threads = 4usize;
-        let mut dup = 1usize;
         let mut transport = TransportFlags::default();
 
         let mut i = 0;
@@ -249,13 +242,6 @@ impl Command {
                     threads = v
                         .parse::<usize>()
                         .map_err(|_| CliError(format!("invalid thread count {v:?}")))?
-                        .max(1);
-                }
-                "--dup" => {
-                    let v = value(&mut i, "--dup")?;
-                    dup = v
-                        .parse::<usize>()
-                        .map_err(|_| CliError(format!("invalid dup factor {v:?}")))?
                         .max(1);
                 }
                 "--fault-rate" => {
@@ -320,7 +306,6 @@ impl Command {
                 scale,
                 seed,
                 threads,
-                dup,
                 metrics_out,
                 transport,
             }),
@@ -510,7 +495,6 @@ pub fn run(cmd: Command, out: &mut dyn std::io::Write) -> std::io::Result<i32> {
             scale,
             seed,
             threads,
-            dup,
             metrics_out,
             transport,
         } => {
@@ -520,11 +504,7 @@ pub fn run(cmd: Command, out: &mut dyn std::io::Write) -> std::io::Result<i32> {
             if let Some(cfg) = transport.fanout_config() {
                 system = system.with_transport(cfg);
             }
-            let records: Vec<_> = world
-                .ases
-                .iter()
-                .flat_map(|r| std::iter::repeat(r.parsed.clone()).take(dup))
-                .collect();
+            let records: Vec<_> = world.ases.iter().map(|r| r.parsed.clone()).collect();
             let config = BatchConfig::with_threads(threads);
             let results = classify_batch_cached_with(&system, &records, config);
             writeln!(
@@ -655,27 +635,16 @@ mod tests {
 
     #[test]
     fn parses_metrics_command() {
-        let c = parse(&[
-            "metrics",
-            "--threads",
-            "2",
-            "--dup",
-            "3",
-            "--metrics",
-            "/tmp/m.json",
-        ])
-        .unwrap();
+        let c = parse(&["metrics", "--threads", "2", "--metrics", "/tmp/m.json"]).unwrap();
         match c {
             Command::Metrics {
                 scale,
                 threads,
-                dup,
                 metrics_out,
                 ..
             } => {
                 assert_eq!(scale, Scale::Small);
                 assert_eq!(threads, 2);
-                assert_eq!(dup, 3);
                 assert_eq!(metrics_out.as_deref(), Some("/tmp/m.json"));
             }
             other => panic!("parsed {other:?}"),
@@ -685,14 +654,14 @@ mod tests {
 
     #[test]
     fn scheduler_flags_are_not_options() {
-        // The scheduler's chunk size and the cache's shard count are fixed.
-        for flag in ["--chunk-size", "--shards"] {
+        // The scheduler's chunk size is fixed, the cache has one map, and
+        // the metrics run classifies each AS once.
+        for flag in ["--chunk-size", "--shards", "--dup"] {
             for sub in ["classify", "metrics"] {
                 let err = parse(&[sub, flag, "4"]).unwrap_err();
                 assert!(err.0.contains("unknown flag"), "{sub} {flag}: {err}");
             }
         }
-        assert!(parse(&["metrics", "--dup", "nope"]).is_err());
     }
 
     #[test]
@@ -703,7 +672,6 @@ mod tests {
                 scale: Scale::Small,
                 seed: 9,
                 threads: 2,
-                dup: 1,
                 metrics_out: None,
                 transport: TransportFlags::default(),
             },
@@ -715,7 +683,7 @@ mod tests {
         assert!(text.contains("pipeline stages"), "{text}");
         assert!(text.contains("source transport"), "{text}");
         assert!(text.contains("org cache"), "{text}");
-        assert!(text.contains("coalesced"), "{text}");
+        assert!(text.contains("hit-rate"), "{text}");
         assert!(text.contains("steals"), "{text}");
         // "classified N ASes" must equal the stage-counter total printed
         // on the report's total row.

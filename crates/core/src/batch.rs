@@ -1,7 +1,7 @@
 //! Parallel batch classification.
 //!
 //! Classifying the full AS population is embarrassingly parallel: the
-//! pipeline is read-only apart from the sharded organization cache.
+//! pipeline is read-only apart from the organization cache.
 //! Batches are spread over `std::thread::scope` workers ("Our model uses
 //! 6 CPU cores…") by a **work-stealing chunk scheduler**: the input is
 //! cut into ~4 chunks per worker and workers claim them off a shared
@@ -14,10 +14,8 @@
 //! regardless of thread count; [`classify_batch_cached`] shares the
 //! system's organization cache, which is faster on multi-AS
 //! organizations but makes the *stage* (not the label quality) of later
-//! duplicates depend on scheduling. Concurrent misses on the same
-//! organization are coalesced by the cache's single-flight slots, so the
-//! expensive pipeline body runs once per organization even inside one
-//! batch.
+//! duplicates depend on scheduling. Concurrent duplicates of one
+//! organization that miss at the same time may each run the pipeline.
 //!
 //! Both record wall-clock and per-worker timing into the system's
 //! [`PipelineMetrics`](crate::metrics::PipelineMetrics) (`batch.*`,
@@ -147,8 +145,9 @@ pub fn classify_batch_with(
 }
 
 /// Classify a batch with the shared organization cache and explicit
-/// scheduler tuning (production mode: multi-AS organizations are
-/// classified once, concurrent duplicates coalesce).
+/// scheduler tuning (production mode: a multi-AS organization is served
+/// from the cache once classified; concurrent duplicates may each run the
+/// pipeline).
 pub fn classify_batch_cached_with(
     system: &AsdbSystem,
     records: &[ParsedWhois],

@@ -21,13 +21,13 @@
 //! 6. **Consensus / auto-choose** — agreeing sources' union, otherwise the
 //!    source with the best §5.1 accuracy rank.
 //!
-//! Plus the operational half the paper only sketches: a sharded,
-//! single-flight organization [`cache`] (concurrent misses on the same
-//! organization coalesce onto one pipeline run), work-stealing [`batch`]
+//! Plus the operational half the paper only sketches: an organization
+//! [`cache`] (concurrent misses on the same organization may each run the
+//! pipeline), work-stealing [`batch`]
 //! classification across threads, the §5.3 [`maintain`] loop over
 //! registration churn, the public [`dataset`] dump format, and always-on
 //! [`metrics`] — per-stage counters mirroring Table 8, per-source hit
-//! rates, cache reuse and coalescing, scheduler chunk/steal counts, and
+//! rates, cache reuse, scheduler chunk/steal counts, and
 //! latency histograms, snapshot-able as text or JSON.
 
 #![forbid(unsafe_code)]

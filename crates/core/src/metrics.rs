@@ -12,8 +12,8 @@
 //!
 //! Hot-path cost is one relaxed atomic op per event; the registry's lock
 //! is only touched at construction and snapshot time. The whole layer can
-//! be turned into a no-op with [`PipelineMetrics::set_enabled`], which the
-//! throughput bench uses to measure instrumentation overhead.
+//! be turned into a no-op with [`PipelineMetrics::set_enabled`], so the
+//! cost of instrumentation can be measured by switching it off.
 
 use crate::cache::OrgCache;
 use crate::pipeline::{Classification, Stage};
@@ -100,9 +100,7 @@ pub struct PipelineMetrics {
     cache_hits: Arc<Counter>,
     cache_misses: Arc<Counter>,
     cache_inserts: Arc<Counter>,
-    cache_coalesced: Arc<Counter>,
     cache_entries: Arc<Counter>,
-    cache_shards: Arc<Counter>,
 
     // Per-phase latency.
     classify_latency: Arc<Histogram>,
@@ -160,9 +158,7 @@ impl PipelineMetrics {
             cache_hits: registry.counter("cache.hits"),
             cache_misses: registry.counter("cache.misses"),
             cache_inserts: registry.counter("cache.inserts"),
-            cache_coalesced: registry.counter("cache.coalesced"),
             cache_entries: registry.counter("cache.entries"),
-            cache_shards: registry.counter("cache.shards"),
             classify_latency: registry.histogram("pipeline.classify"),
             domain_latency: registry.histogram("pipeline.domain_select"),
             ml_latency: registry.histogram("pipeline.ml"),
@@ -186,20 +182,19 @@ impl PipelineMetrics {
         self.enabled.load(Ordering::Relaxed)
     }
 
-    /// Turn the whole layer into a no-op (or back on). Used by the
-    /// throughput bench to measure instrumentation overhead.
+    /// Turn the whole layer into a no-op (or back on), e.g. to measure
+    /// what instrumentation costs.
     pub fn set_enabled(&self, on: bool) {
         self.enabled.store(on, Ordering::Relaxed);
     }
 
-    /// Build an [`OrgCache`] whose hit/miss/insert/coalesced traffic
+    /// Build an [`OrgCache`] whose hit/miss/insert traffic
     /// lands in this registry's `cache.*` counters.
     pub fn build_cache(&self) -> OrgCache {
         OrgCache::with_counters(
             Arc::clone(&self.cache_hits),
             Arc::clone(&self.cache_misses),
             Arc::clone(&self.cache_inserts),
-            Arc::clone(&self.cache_coalesced),
         )
     }
 
@@ -377,12 +372,10 @@ impl PipelineMetrics {
     }
 
     /// Serializable snapshot of every metric. `cache` supplies current
-    /// occupancy and shard layout (gauges, synced into `cache.entries` /
-    /// `cache.shards` at snapshot time).
+    /// occupancy (a gauge, synced into `cache.entries` at snapshot time).
     pub fn snapshot(&self, cache: &OrgCache) -> RegistrySnapshot {
         if self.enabled() {
             self.cache_entries.store(cache.len() as u64);
-            self.cache_shards.store(cache.shard_count() as u64);
         }
         self.registry.snapshot()
     }
@@ -445,18 +438,12 @@ impl PipelineMetrics {
         let cs = cache.snapshot();
         out.push_str("\n== org cache (§5.1) ==\n");
         out.push_str(&format!(
-            "  entries {}   hits {}   misses {}   inserts {}   coalesced {}   hit-rate {:.1}%\n",
+            "  entries {}   hits {}   misses {}   inserts {}   hit-rate {:.1}%\n",
             cs.entries,
             cs.hits,
             cs.misses,
             cs.inserts,
-            cs.coalesced,
             100.0 * cs.hit_rate
-        ));
-        let max_shard = cs.per_shard.iter().copied().max().unwrap_or(0);
-        out.push_str(&format!(
-            "  shards {}   max-shard-occupancy {}\n",
-            cs.shards, max_shard
         ));
 
         out.push_str("\n== batch ==\n");
@@ -534,12 +521,7 @@ mod tests {
         });
         let cache = m.build_cache();
         let snap = m.snapshot(&cache);
-        // `cache.shards` is a layout gauge, nonzero by construction.
-        assert!(snap
-            .counters
-            .iter()
-            .filter(|(k, _)| k.as_str() != "cache.shards")
-            .all(|(_, v)| *v == 0));
+        assert!(snap.counters.values().all(|v| *v == 0));
     }
 
     #[test]
@@ -551,8 +533,6 @@ mod tests {
         let snap = m.snapshot(&cache);
         assert_eq!(snap.counter("batch.chunks"), 16);
         assert_eq!(snap.counter("batch.steals"), 5);
-        // Shard layout is a gauge synced at snapshot time.
-        assert_eq!(snap.counter("cache.shards"), cache.shard_count() as u64);
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! The Figure 4 classification pipeline.
 
-use crate::cache::{CachedResult, Lookup, OrgCache, OrgKey};
+use crate::cache::{CachedResult, OrgCache, OrgKey};
 use crate::classifier::{MlClassifiers, MlVerdict};
 use crate::metrics::PipelineMetrics;
 use crate::sources_set::{FanoutConfig, MatchPolicy, SourceFanout, SourceSet};
@@ -387,11 +387,9 @@ impl AsdbSystem {
     /// Classify with the organization cache (production protocol).
     ///
     /// One-pass: the §5.1 domain is selected exactly once, serving both
-    /// the cache-key derivation and (on a miss) the pipeline body. Misses
-    /// go through the cache's single-flight protocol, so concurrent
-    /// batch workers hitting the same organization run the expensive
-    /// pipeline once and everyone else reuses the in-flight result
-    /// (`cache.coalesced`).
+    /// the cache-key derivation and (on a miss) the pipeline body. A miss
+    /// runs the pipeline and stores its result; concurrent callers that
+    /// miss on the same organization may each run the pipeline.
     pub fn classify_cached(&self, whois: &ParsedWhois) -> Classification {
         let start = std::time::Instant::now();
         let t_domain = std::time::Instant::now();
@@ -405,35 +403,31 @@ impl AsdbSystem {
             self.metrics.record_classification(&c, start.elapsed());
             return c;
         };
-        match self.cache.begin(&key) {
-            Lookup::Hit(hit) | Lookup::Coalesced(hit) => {
-                let c = Classification {
-                    asn: whois.asn,
-                    categories: hit.categories,
-                    stage: Stage::Cached,
-                    sources: Vec::new(),
-                    chosen_domain: chosen,
-                    ml: None,
-                    match_labels: Vec::new(),
-                    degraded: Vec::new(),
-                };
-                self.metrics.record_classification(&c, start.elapsed());
-                c
-            }
-            Lookup::Miss(flight) => {
-                // We are the leader for this organization: run the full
-                // pipeline with the domain we already selected. If it
-                // panics, dropping `flight` abandons the slot and waiters
-                // recover.
+        let c = match self.cache.get(&key) {
+            Some(hit) => Classification {
+                asn: whois.asn,
+                categories: hit.categories,
+                stage: Stage::Cached,
+                sources: Vec::new(),
+                chosen_domain: chosen,
+                ml: None,
+                match_labels: Vec::new(),
+                degraded: Vec::new(),
+            },
+            None => {
                 let c = self.classify_inner(whois, &self.options, Some(chosen));
-                self.metrics.record_classification(&c, start.elapsed());
-                flight.complete(CachedResult {
-                    categories: c.categories.clone(),
-                    provenance: c.stage.label().to_owned(),
-                });
+                self.cache.put(
+                    key,
+                    CachedResult {
+                        categories: c.categories.clone(),
+                        provenance: c.stage.label().to_owned(),
+                    },
+                );
                 c
             }
-        }
+        };
+        self.metrics.record_classification(&c, start.elapsed());
+        c
     }
 
     /// The consensus phase (§5.1): agreement → union of agreeing labels;

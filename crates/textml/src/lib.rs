@@ -36,8 +36,7 @@
 //! [`sgd`]'s module docs for the math), tokenization is zero-copy
 //! ([`tokenize::tokens`] / [`tokenize::for_each_token`]), and the
 //! ensemble fits its members on parallel threads. The pre-optimization
-//! implementations are retained behind the `dense-ref` feature (and in
-//! tests) as differential oracles and benchmark baselines.
+//! implementations are retained in test builds as differential oracles.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

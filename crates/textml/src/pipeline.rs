@@ -83,8 +83,8 @@ impl TextFeaturizer {
     }
 
     /// Featurize through the retained pre-optimization vectorizer and
-    /// TF-IDF paths (differential oracle / benchmark "before" arm).
-    #[cfg(any(test, feature = "dense-ref"))]
+    /// TF-IDF paths (differential oracle).
+    #[cfg(test)]
     pub fn featurize_naive(&self, doc: &str) -> SparseVec {
         self.tfidf
             .transform_naive(&self.vectorizer.transform_naive(doc))
@@ -132,12 +132,6 @@ impl TextPipeline {
     /// The fitted feature transform.
     pub fn featurizer(&self) -> &TextFeaturizer {
         &self.featurizer
-    }
-
-    /// The trained ensemble (exposed so benches can time inference on
-    /// pre-built feature vectors).
-    pub fn ensemble(&self) -> &SgdEnsemble {
-        &self.ensemble
     }
 
     /// Probability that the document belongs to the positive class.

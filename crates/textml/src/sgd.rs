@@ -27,8 +27,7 @@
 //!   is touched and once at the end — scikit-learn's averaged-SGD trick.
 //!
 //! The pre-optimization dense implementation is retained verbatim in
-//! [`dense_ref`] (tests and the `dense-ref` feature) as a differential
-//! oracle and as the "before" arm of the `textml` benchmark.
+//! `dense_ref` (test builds only) as a differential oracle.
 
 use crate::vectorize::SparseVec;
 use asdb_model::WorldSeed;
@@ -374,11 +373,10 @@ impl SgdEnsemble {
 }
 
 /// The pre-optimization dense SGD trainer, retained verbatim as a
-/// differential oracle for the lazy-scaled implementation and as the
-/// "before" arm of the `textml` benchmark. Per-sample cost is
-/// O(n_features): the L2 shrink and the averaging update both walk the
-/// whole weight vector.
-#[cfg(any(test, feature = "dense-ref"))]
+/// differential oracle for the lazy-scaled implementation. Per-sample
+/// cost is O(n_features): the L2 shrink and the averaging update both
+/// walk the whole weight vector.
+#[cfg(test)]
 pub mod dense_ref {
     use super::{Loss, SgdClassifier, SgdConfig};
     use crate::vectorize::SparseVec;

@@ -69,9 +69,8 @@ impl TfidfTransformer {
     }
 
     /// The pre-optimization transform (per-document max-IDF fold, three
-    /// passes over the entries), retained as the differential oracle and
-    /// benchmark "before" arm.
-    #[cfg(any(test, feature = "dense-ref"))]
+    /// passes over the entries), retained as the differential oracle.
+    #[cfg(test)]
     pub fn transform_naive(&self, v: &SparseVec) -> SparseVec {
         let default_idf = if self.idf.is_empty() {
             1.0

@@ -285,8 +285,8 @@ impl CountVectorizer {
 
     /// The pre-optimization transform (owned token `Vec<String>`, per-token
     /// `String` lookup, pair sort via [`SparseVec::from_pairs`]), retained
-    /// as the differential oracle and benchmark "before" arm.
-    #[cfg(any(test, feature = "dense-ref"))]
+    /// as the differential oracle.
+    #[cfg(test)]
     pub fn transform_naive(&self, doc: &str) -> SparseVec {
         let pairs: Vec<(u32, f32)> = crate::tokenize::tokenize(doc)
             .into_iter()

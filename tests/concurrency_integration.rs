@@ -1,6 +1,6 @@
-//! Concurrency-substrate integration: the sharded single-flight org
-//! cache and the work-stealing batch scheduler, exercised through the
-//! real Figure 4 pipeline.
+//! Concurrency-substrate integration: the shared org cache and the
+//! work-stealing batch scheduler, exercised through the real Figure 4
+//! pipeline.
 //!
 //! The invariants under test:
 //!
@@ -12,14 +12,11 @@
 //! * uncached batch output is identical to serial classification at every
 //!   thread count and batch size;
 //! * a duplicate-heavy batch inserts each unique organization exactly
-//!   once (single-flight), with every duplicate served as a hit or a
-//!   coalesced wait;
-//! * a worker that misses while another worker's computation for the same
-//!   organization is in flight blocks and reuses that result
-//!   (`cache.coalesced > 0`), instead of redoing the scrape+ML work.
+//!   once, even when racing workers both miss on it, and every record the
+//!   pipeline classified carries the labels uncached classification gives.
 
 use asdb_core::batch::{classify_batch_cached_with, classify_batch_with, BatchConfig};
-use asdb_core::cache::{CachedResult, Lookup, OrgKey};
+use asdb_core::cache::OrgKey;
 use asdb_core::{AsdbSystem, Stage};
 use asdb_model::WorldSeed;
 use asdb_worldgen::{World, WorldConfig};
@@ -134,69 +131,22 @@ fn duplicate_heavy_batch_inserts_each_org_once() {
     let out = classify_batch_cached_with(&s, &records, BatchConfig::with_threads(8));
     assert_eq!(out.len(), records.len());
     let cache = s.cache();
-    // Single-flight: one insert per unique organization, no matter how
-    // many duplicates raced.
-    assert_eq!(cache.inserts(), unique_keys.len() as u64);
-    assert_eq!(cache.len(), unique_keys.len());
-    // Every keyed lookup was either the unique miss for its org, a hit,
-    // or a coalesced wait — nothing fell through to a redundant pipeline
-    // run.
-    assert_eq!(cache.misses(), unique_keys.len() as u64);
-    assert_eq!(
-        cache.hits() + cache.coalesced() + cache.misses(),
-        keyed_records
-    );
-    // And the stage counters agree: exactly one non-cached classification
-    // per unique org among keyed records.
+    let unique = unique_keys.len() as u64;
+    // One insert per unique organization, no matter how many duplicates
+    // raced: a store onto an existing entry is not an insert.
+    assert_eq!(cache.inserts(), unique);
+    assert_eq!(cache.len() as u64, unique);
+    // Every keyed record made exactly one lookup. Racing duplicates may
+    // each miss, so misses only bound the unique organizations from above.
+    assert_eq!(cache.hits() + cache.misses(), keyed_records);
+    assert!(cache.misses() >= unique, "{} misses", cache.misses());
+    // Exactly the hits were served from the cache.
     let cached_stage = out.iter().filter(|c| c.stage == Stage::Cached).count() as u64;
-    assert_eq!(cached_stage, cache.hits() + cache.coalesced());
-}
-
-#[test]
-fn concurrent_miss_on_same_org_coalesces_onto_in_flight_result() {
-    let (w, s) = build(49, 50);
-    // Pick a record with a derivable org key.
-    let rec = w
-        .ases
-        .iter()
-        .map(|r| r.parsed.clone())
-        .find(|r| OrgKey::derive(s.select_domain(r).as_ref(), &r.name).is_some())
-        .expect("some record has an identity key");
-    let key = OrgKey::derive(s.select_domain(&rec).as_ref(), &rec.name).unwrap();
-
-    // Become the leader for that organization by hand…
-    let Lookup::Miss(flight) = s.cache().begin(&key) else {
-        panic!("fresh cache must miss");
-    };
-    let sentinel = CachedResult {
-        categories: asdb_taxonomy::CategorySet::new(),
-        provenance: "test-leader".into(),
-    };
-    let started = std::sync::atomic::AtomicBool::new(false);
-    std::thread::scope(|scope| {
-        // …while a worker classifies the same organization concurrently.
-        let worker = scope.spawn(|| {
-            started.store(true, std::sync::atomic::Ordering::SeqCst);
-            s.classify_cached(&rec)
-        });
-        // Wait until the worker is actually running, then give it a
-        // generous window to select the domain and block on the in-flight
-        // slot before we publish (so thread-spawn latency can't eat the
-        // window on slow single-core machines).
-        while !started.load(std::sync::atomic::Ordering::SeqCst) {
-            std::thread::yield_now();
+    assert_eq!(cached_stage, cache.hits());
+    // Every record the pipeline classified has its uncached labels.
+    for (rec, c) in records.iter().zip(&out) {
+        if c.stage != Stage::Cached {
+            assert_eq!(c.categories, s.classify(rec).categories, "{}", rec.asn);
         }
-        std::thread::sleep(std::time::Duration::from_millis(400));
-        flight.complete(sentinel.clone());
-        let c = worker.join().expect("worker thread");
-        // The worker must have reused the in-flight result rather than
-        // re-running the pipeline: Cached stage, the leader's labels.
-        assert_eq!(c.stage, Stage::Cached);
-        assert_eq!(c.categories, sentinel.categories);
-    });
-    assert!(
-        s.cache().coalesced() > 0,
-        "worker re-ran the pipeline instead of joining the in-flight slot"
-    );
-    assert_eq!(s.cache().inserts(), 1);
+    }
 }
