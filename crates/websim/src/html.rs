@@ -35,38 +35,60 @@ impl Page {
     /// All text a text-scraper can extract: title, headings, paragraphs,
     /// link anchors. Image-embedded text is deliberately excluded.
     pub fn visible_text(&self) -> String {
-        let mut parts: Vec<&str> = Vec::new();
-        if !self.title.is_empty() {
-            parts.push(&self.title);
-        }
-        parts.extend(self.headings.iter().map(String::as_str));
-        parts.extend(self.paragraphs.iter().map(String::as_str));
-        parts.extend(self.links.iter().map(|l| l.text.as_str()));
-        parts.join("\n")
+        let mut out = String::new();
+        self.push_visible_text(&mut out);
+        out
     }
 
-    /// Render to markup.
+    /// Append [`Page::visible_text`] to `out`: the non-empty title, then
+    /// every heading, paragraph and link anchor, one per line.
+    pub fn push_visible_text(&self, out: &mut String) {
+        let mut first = true;
+        let title = (!self.title.is_empty()).then_some(&self.title);
+        let links = self.links.iter().map(|l| &l.text);
+        for part in title
+            .into_iter()
+            .chain(&self.headings)
+            .chain(&self.paragraphs)
+            .chain(links)
+        {
+            if !first {
+                out.push('\n');
+            }
+            first = false;
+            out.push_str(part);
+        }
+    }
+
+    /// Render to markup, escaping `&`, `<`, `>` and `"` in every field.
     pub fn render(&self) -> String {
-        let mut out = String::from("<html><head>");
-        out.push_str(&format!("<title>{}</title>", escape(&self.title)));
-        out.push_str("</head><body>");
+        let mut out = String::new();
+        out.push_str("<html><head><title>");
+        push_escaped(&mut out, &self.title);
+        out.push_str("</title></head><body>");
         for h in &self.headings {
-            out.push_str(&format!("<h1>{}</h1>", escape(h)));
+            out.push_str("<h1>");
+            push_escaped(&mut out, h);
+            out.push_str("</h1>");
         }
         for p in &self.paragraphs {
-            out.push_str(&format!("<p>{}</p>", escape(p)));
+            out.push_str("<p>");
+            push_escaped(&mut out, p);
+            out.push_str("</p>");
         }
         for l in &self.links {
-            out.push_str(&format!(
-                "<a href=\"{}\">{}</a>",
-                escape(&l.href),
-                escape(&l.text)
-            ));
+            out.push_str("<a href=\"");
+            push_escaped(&mut out, &l.href);
+            out.push_str("\">");
+            push_escaped(&mut out, &l.text);
+            out.push_str("</a>");
         }
         for t in &self.image_text {
             // Text baked into a bitmap: modeled as a data-image whose
             // content never appears as element text.
-            out.push_str(&format!("<img data-baked=\"{}\"/>", escape(t)));
+            out.push_str("<img data-baked=\"");
+            push_escaped(&mut out, t);
+            out.push_str("\"/>");
         }
         out.push_str("</body></html>");
         out
@@ -74,6 +96,10 @@ impl Page {
 
     /// Parse markup produced by [`Page::render`] (or anything structurally
     /// similar). Unknown tags are skipped; the parser never panics.
+    ///
+    /// One left-to-right pass: an element's text runs from its open tag to
+    /// the next `<`, and the element is kept only when that `<` starts its
+    /// close tag (matched ignoring ASCII case).
     pub fn parse(markup: &str) -> Page {
         let mut page = Page::default();
         let mut rest = markup;
@@ -83,79 +109,85 @@ impl Page {
             let tag = &rest[..end];
             rest = &rest[end + 1..];
             let (name, attrs) = tag.split_once(char::is_whitespace).unwrap_or((tag, ""));
-            match name.to_ascii_lowercase().as_str() {
-                "title" => {
-                    if let Some((text, r)) = read_text_until(rest, "</title>") {
-                        page.title = unescape(&text);
-                        rest = r;
-                    }
+            let is = |n: &str| name.eq_ignore_ascii_case(n);
+            if is("title") {
+                if let Some((text, r)) = read_text_until(rest, "</title>") {
+                    page.title = unescape(text);
+                    rest = r;
                 }
-                "h1" | "h2" => {
-                    let close = if name.eq_ignore_ascii_case("h1") {
-                        "</h1>"
-                    } else {
-                        "</h2>"
-                    };
-                    if let Some((text, r)) = read_text_until(rest, close) {
-                        page.headings.push(unescape(&text));
-                        rest = r;
-                    }
+            } else if is("h1") || is("h2") {
+                let close = if is("h1") { "</h1>" } else { "</h2>" };
+                if let Some((text, r)) = read_text_until(rest, close) {
+                    page.headings.push(unescape(text));
+                    rest = r;
                 }
-                "p" => {
-                    if let Some((text, r)) = read_text_until(rest, "</p>") {
-                        page.paragraphs.push(unescape(&text));
-                        rest = r;
-                    }
+            } else if is("p") {
+                if let Some((text, r)) = read_text_until(rest, "</p>") {
+                    page.paragraphs.push(unescape(text));
+                    rest = r;
                 }
-                "a" => {
-                    let href = attr_value(attrs, "href").unwrap_or_default();
-                    if let Some((text, r)) = read_text_until(rest, "</a>") {
-                        page.links.push(Link {
-                            href: unescape(&href),
-                            text: unescape(&text),
-                        });
-                        rest = r;
-                    }
+            } else if is("a") {
+                if let Some((text, r)) = read_text_until(rest, "</a>") {
+                    page.links.push(Link {
+                        href: unescape(attr_value(attrs, "href").unwrap_or_default()),
+                        text: unescape(text),
+                    });
+                    rest = r;
                 }
-                "img" => {
-                    if let Some(baked) = attr_value(attrs, "data-baked") {
-                        page.image_text.push(unescape(&baked));
-                    }
+            } else if is("img") {
+                if let Some(baked) = attr_value(attrs, "data-baked") {
+                    page.image_text.push(unescape(baked));
                 }
-                _ => {}
             }
         }
         page
     }
 }
 
-fn read_text_until<'a>(input: &'a str, close: &str) -> Option<(String, &'a str)> {
-    let pos = input.to_ascii_lowercase().find(close)?;
-    // If another tag opens before the close tag, this element was never
-    // properly closed — treat it as malformed and let the outer loop
-    // re-scan from the intervening tag instead of swallowing it.
-    if input[..pos].contains('<') {
+/// The element text before `close` and the input after it, when the first
+/// `<` in `input` starts `close` (ignoring ASCII case). Any other tag before
+/// the close tag means this element was never properly closed: it is
+/// treated as malformed, and the outer loop re-scans from the intervening
+/// tag instead of swallowing it.
+fn read_text_until<'a>(input: &'a str, close: &str) -> Option<(&'a str, &'a str)> {
+    let pos = input.find('<')?;
+    let tail = &input.as_bytes()[pos..];
+    if tail.len() < close.len() || !tail[..close.len()].eq_ignore_ascii_case(close.as_bytes()) {
         return None;
     }
-    Some((input[..pos].to_owned(), &input[pos + close.len()..]))
+    Some((&input[..pos], &input[pos + close.len()..]))
 }
 
-fn attr_value(attrs: &str, name: &str) -> Option<String> {
-    let lower = attrs.to_ascii_lowercase();
-    let at = lower.find(&format!("{name}=\""))?;
+/// The value of the first `name="…"` in `attrs`, the lowercase ASCII
+/// `name` matched ignoring ASCII case.
+fn attr_value<'a>(attrs: &'a str, name: &str) -> Option<&'a str> {
+    let (bytes, name) = (attrs.as_bytes(), name.as_bytes());
+    let at = bytes
+        .windows(name.len() + 2)
+        .position(|w| w[..name.len()].eq_ignore_ascii_case(name) && w[name.len()..] == *b"=\"")?;
     let after = &attrs[at + name.len() + 2..];
     let end = after.find('"')?;
-    Some(after[..end].to_owned())
+    Some(&after[..end])
 }
 
-fn escape(s: &str) -> String {
-    s.replace('&', "&amp;")
-        .replace('<', "&lt;")
-        .replace('>', "&gt;")
-        .replace('"', "&quot;")
+/// Append `s` to `out` with `&`, `<`, `>` and `"` escaped.
+fn push_escaped(out: &mut String, s: &str) {
+    for c in s.chars() {
+        match c {
+            '&' => out.push_str("&amp;"),
+            '<' => out.push_str("&lt;"),
+            '>' => out.push_str("&gt;"),
+            '"' => out.push_str("&quot;"),
+            _ => out.push(c),
+        }
+    }
 }
 
+/// Undo [`push_escaped`]. Text without an `&` is copied as is.
 fn unescape(s: &str) -> String {
+    if !s.contains('&') {
+        return s.to_owned();
+    }
     s.replace("&quot;", "\"")
         .replace("&gt;", ">")
         .replace("&lt;", "<")

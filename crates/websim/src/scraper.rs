@@ -79,10 +79,9 @@ pub fn scrape<F: Fetcher>(
             continue;
         }
         let anchor = link.text.to_lowercase();
-        let matches = config
-            .keywords
-            .iter()
-            .any(|k| anchor.split(|c: char| !c.is_alphanumeric()).any(|w| w == k));
+        let matches = anchor
+            .split(|c: char| !c.is_alphanumeric())
+            .any(|w| config.keywords.iter().any(|k| k == w));
         if !matches {
             continue;
         }
@@ -90,9 +89,8 @@ pub fn scrape<F: Fetcher>(
         match fetcher.fetch(&url) {
             Ok(f) => {
                 duration += f.latency;
-                let page = Page::parse(&f.markup);
                 text.push('\n');
-                text.push_str(&page.visible_text());
+                Page::parse(&f.markup).push_visible_text(&mut text);
                 visited.push(link.href.clone());
                 followed += 1;
             }

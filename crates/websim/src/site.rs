@@ -186,13 +186,6 @@ impl Website {
     pub fn homepage(&self) -> Option<&str> {
         self.pages.get("/").map(String::as_str)
     }
-
-    /// The homepage `<title>`, parsed back out of the markup.
-    pub fn homepage_title(&self) -> String {
-        self.homepage()
-            .map(|m| Page::parse(m).title)
-            .unwrap_or_default()
-    }
 }
 
 /// Translate page text into the site language. The org name (title) is kept
@@ -279,7 +272,9 @@ mod tests {
         );
         assert!(site.homepage().is_some());
         assert!(site.pages.len() >= 3);
-        assert!(site.homepage_title().contains("Acme Hosting"));
+        assert!(Page::parse(site.homepage().unwrap())
+            .title
+            .contains("Acme Hosting"));
     }
 
     #[test]
@@ -363,9 +358,9 @@ mod tests {
             &spec(SiteQuirks::default(), Language::Zonal),
             WorldSeed::new(6),
         );
-        assert!(site.homepage_title().contains("Acme Hosting"));
-        // But body text is mangled.
         let home = Page::parse(site.homepage().unwrap());
+        assert!(home.title.contains("Acme Hosting"));
+        // But body text is mangled.
         let body = home.paragraphs.join(" ");
         assert!(body.contains("xzo"), "body should be in Zonal: {body}");
     }
