@@ -22,6 +22,7 @@ use asdb_model::{Domain, OrgId, WorldSeed};
 use asdb_taxonomy::naicslite::known;
 use asdb_taxonomy::schemes::ZVELO;
 use asdb_taxonomy::{Category, CategorySet, Layer2};
+use asdb_textml::for_each_word;
 use asdb_websim::scraper::{scrape, ScrapeConfig};
 use asdb_websim::vocab::vocabulary;
 use asdb_websim::{SimWeb, Translator};
@@ -128,8 +129,10 @@ const MIN_DISTINCT_TOKENS: usize = 8;
 ///
 /// A category scores `hits / sqrt(vocabulary length)`, where `hits` counts
 /// its vocabulary entries (duplicates counting each time) that occur among
-/// the page's distinct lowercased tokens of two or more bytes. The index
-/// finds every category's hits with one lookup per distinct token.
+/// the page's distinct words ([`asdb_textml::for_each_word`]: lowercased
+/// alphanumeric runs of two or more bytes, stopwords and numbers kept).
+/// The index finds every category's hits with one lookup per distinct
+/// word.
 #[derive(Debug, Clone)]
 struct VocabIndex {
     /// Word → slot in `postings`.
@@ -180,22 +183,12 @@ impl VocabIndex {
         let mut seen = vec![false; self.postings.len()];
         // The parked check needs only the first eight distinct tokens.
         let mut distinct: Vec<String> = Vec::with_capacity(MIN_DISTINCT_TOKENS);
-        let mut token = String::new();
-        for raw in english
-            .split(|c: char| !c.is_alphanumeric())
-            .filter(|t| t.len() >= 2)
-        {
-            token.clear();
-            if raw.is_ascii() {
-                token.push_str(raw);
-                token.make_ascii_lowercase();
-            } else {
-                token.push_str(&raw.to_lowercase());
+        let mut buf = String::new();
+        for_each_word(english, &mut buf, |token| {
+            if distinct.len() < MIN_DISTINCT_TOKENS && !distinct.iter().any(|d| d == token) {
+                distinct.push(token.to_owned());
             }
-            if distinct.len() < MIN_DISTINCT_TOKENS && !distinct.contains(&token) {
-                distinct.push(token.clone());
-            }
-            if let Some(&slot) = self.slots.get(token.as_str()) {
+            if let Some(&slot) = self.slots.get(token) {
                 if !seen[slot] {
                     seen[slot] = true;
                     for &(c, n) in &self.postings[slot] {
@@ -203,7 +196,7 @@ impl VocabIndex {
                     }
                 }
             }
-        }
+        });
         if distinct.len() < MIN_DISTINCT_TOKENS {
             return None;
         }
@@ -261,39 +254,49 @@ mod tests {
     use super::*;
     use asdb_model::WorldSeed;
     use asdb_worldgen::WorldConfig;
+    use rand::check::{self, class_string, CASES};
     use std::collections::HashSet;
 
     /// The scorer before the index: a `HashSet` of the page's lowercased
     /// tokens probed word by word for every category's vocabulary. Kept
     /// here only as the differential oracle for [`VocabIndex`].
-    fn classify_domain_hashset(z: &Zvelo, domain: &Domain) -> Option<(String, CategorySet)> {
-        let result = scrape(&z.web, domain, &ScrapeConfig::default()).ok()?;
-        let english = z.translator.translate(&result.text);
+    fn top_category_hashset(
+        vocab: impl Fn(Layer2) -> &'static [&'static str],
+        english: &str,
+    ) -> Option<Layer2> {
         let tokens: HashSet<String> = english
             .split(|c: char| !c.is_alphanumeric())
             .filter(|t| t.len() >= 2)
             .map(str::to_lowercase)
             .collect();
         if tokens.len() < 8 {
-            let cat = ZVELO.category("Parked Domains").expect("scheme has it");
-            return Some((cat.name.to_owned(), cat.to_naicslite()));
+            return None;
         }
         let mut best: Option<(f64, Layer2)> = None;
         for l2 in Layer2::all() {
-            let vocab = vocabulary(l2);
-            let hits = vocab.iter().filter(|w| tokens.contains(**w)).count();
-            let score = hits as f64 / (vocab.len() as f64).sqrt();
+            let words = vocab(l2);
+            let hits = words.iter().filter(|w| tokens.contains(**w)).count();
+            let score = hits as f64 / (words.len() as f64).sqrt();
             match best {
                 Some((s, _)) if s >= score => {}
                 _ => best = Some((score, l2)),
             }
         }
         let (score, top) = best.expect("95 categories scored");
-        if score <= 0.0 {
-            let cat = ZVELO.category("Parked Domains").expect("scheme has it");
-            return Some((cat.name.to_owned(), cat.to_naicslite()));
+        (score > 0.0).then_some(top)
+    }
+
+    /// [`Zvelo::classify_domain`] over [`top_category_hashset`].
+    fn classify_domain_hashset(z: &Zvelo, domain: &Domain) -> Option<(String, CategorySet)> {
+        let result = scrape(&z.web, domain, &ScrapeConfig::default()).ok()?;
+        let english = z.translator.translate(&result.text);
+        match top_category_hashset(vocabulary, &english) {
+            Some(top) => Some(z.map_to_scheme(top, domain)),
+            None => {
+                let cat = ZVELO.category("Parked Domains").expect("scheme has it");
+                Some((cat.name.to_owned(), cat.to_naicslite()))
+            }
         }
-        Some(z.map_to_scheme(top, domain))
     }
 
     /// The indexed scorer returns what the `HashSet` scorer returns on every
@@ -319,20 +322,81 @@ mod tests {
 
     /// A made-up vocabulary: `Layer2::all()`'s first three categories list
     /// the given words, every other category one word no test page uses.
-    fn toy_index(first: [&'static [&'static str]; 3]) -> (VocabIndex, Vec<Layer2>) {
+    fn toy_vocab(
+        first: [&'static [&'static str]; 3],
+    ) -> impl Fn(Layer2) -> &'static [&'static str] + Clone {
         let order: Vec<Layer2> = Layer2::all().collect();
-        let lists = order.clone();
-        let index = VocabIndex::build(move |l2| {
-            match lists
-                .iter()
-                .position(|&c| c == l2)
-                .expect("a layer-2 category")
-            {
-                i @ 0..=2 => first[i],
-                _ => &["unused"],
-            }
-        });
-        (index, order)
+        move |l2| match order
+            .iter()
+            .position(|&c| c == l2)
+            .expect("a layer-2 category")
+        {
+            i @ 0..=2 => first[i],
+            _ => &["unused"],
+        }
+    }
+
+    /// The index over [`toy_vocab`], and the categories in index order.
+    fn toy_index(first: [&'static [&'static str]; 3]) -> (VocabIndex, Vec<Layer2>) {
+        (VocabIndex::build(toy_vocab(first)), Layer2::all().collect())
+    }
+
+    /// Chars that stress the word splitter: ASCII letters of both cases,
+    /// digits, ASCII separators including `_`, a no-break space, two-byte
+    /// letters, the final-sigma letter, the Kelvin sign (folds to ASCII
+    /// `k`), dotted capital I (folds to two chars), a combining mark and a
+    /// non-ASCII digit.
+    const WORD_CHARS: &str = "A-Za-z0-9_' \u{A0}ÉßΣ\u{212A}\u{130}\u{301}\u{663}-";
+
+    /// The index and the `HashSet` scorer agree on text mixing runs of
+    /// [`WORD_CHARS`] with vocabulary words in random case, both for the
+    /// real vocabulary and for a toy one whose words that text spells
+    /// (`k` from the Kelvin sign, `i̇` from dotted capital I).
+    #[test]
+    fn index_matches_hashset_scorer_on_tricky_chars() {
+        let toy = toy_vocab([
+            &["é", "σ", "k", "ab"],
+            &["ß", "i\u{307}", "\u{663}", "\u{663}\u{663}"],
+            &["é", "ß", "k"],
+        ]);
+        let real = VocabIndex::build(vocabulary);
+        let toy_index = VocabIndex::build(toy.clone());
+        let categories: Vec<Layer2> = Layer2::all().collect();
+        let mut scored = [0usize; 2];
+        check::cases(
+            CASES,
+            |rng| {
+                let mut text = String::new();
+                for _ in 0..rng.random_range(0..32) {
+                    if rng.random_bool(0.4) {
+                        let words = vocabulary(*categories.choose(rng).expect("categories"));
+                        let word = *words.choose(rng).expect("a vocabulary word");
+                        match rng.random_range(0..3) {
+                            0 => text.push_str(word),
+                            1 => text.push_str(&word.to_uppercase()),
+                            _ => text.push_str(&word.replacen('k', "\u{212A}", 1)),
+                        }
+                    } else {
+                        text.push_str(&class_string(rng, WORD_CHARS, 0..=6));
+                    }
+                    text.push_str(&class_string(rng, " _\u{A0}\u{301}-", 1..=1));
+                }
+                text
+            },
+            |text| {
+                let got = [real.top_category(&text), toy_index.top_category(&text)];
+                assert_eq!(got[0], top_category_hashset(vocabulary, &text));
+                assert_eq!(got[1], top_category_hashset(&toy, &text));
+                for (n, top) in scored.iter_mut().zip(got) {
+                    *n += usize::from(top.is_some());
+                }
+            },
+        );
+        // Both vocabularies score a fair share of the texts, not only park.
+        assert!(
+            scored.iter().all(|&n| n >= 16),
+            "scored {scored:?} of {CASES}"
+        );
     }
 
     /// Eight distinct filler tokens, none in any toy vocabulary.

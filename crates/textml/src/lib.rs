@@ -12,8 +12,9 @@
 //!
 //! Components:
 //!
-//! * [`tokenize`]: lower-casing word tokenizer with an English stopword
-//!   list,
+//! * [`tokenize`]: one byte-level, lower-casing word splitter
+//!   ([`tokenize::for_each_word`]) shared by every per-page pass, and an
+//!   English stopword list,
 //! * [`vectorize`]: vocabulary building and sparse count vectors,
 //! * [`tfidf`]: smoothed IDF weighting with L2 normalization
 //!   (scikit-learn-compatible formulas, since the original pipeline is
@@ -34,8 +35,10 @@
 //! The training/inference hot path is O(nnz): the SGD trainer uses lazy
 //! weight scaling with lazily-materialized iterate averaging (see
 //! [`sgd`]'s module docs for the math), tokenization is zero-copy
-//! ([`tokenize::tokens`] / [`tokenize::for_each_token`]), and the
-//! ensemble fits its members on parallel threads. The pre-optimization
+//! ([`tokenize::tokens`] to fit, [`tokenize::for_each_word`] to
+//! transform: a page's words probe the vocabulary directly, which holds
+//! no stopword or number to filter), and the ensemble fits its members on
+//! parallel threads. The pre-optimization
 //! implementations are retained in test builds as differential oracles.
 
 #![forbid(unsafe_code)]
@@ -54,5 +57,5 @@ pub use metrics::{BinaryConfusion, Metrics};
 pub use pipeline::{TextFeaturizer, TextPipeline};
 pub use sgd::{Loss, SgdClassifier, SgdEnsemble};
 pub use tfidf::TfidfTransformer;
-pub use tokenize::{for_each_token, tokens};
+pub use tokenize::{for_each_word, tokens};
 pub use vectorize::{CountVectorizer, SparseVec};

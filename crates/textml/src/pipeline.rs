@@ -252,4 +252,41 @@ mod tests {
             assert_eq!(f.featurize(doc), f.featurize_naive(doc), "{doc:?}");
         }
     }
+
+    /// The featurizer equals the naive tokenizer, vectorizer and TF-IDF
+    /// on every scraped page of three standard worlds, raw and translated,
+    /// with the vocabulary fitted on all of those texts (so it holds
+    /// foreign and cased-then-folded words too).
+    #[test]
+    fn featurize_matches_naive_on_standard_worlds() {
+        use asdb_websim::scraper::{scrape, ScrapeConfig};
+        use asdb_websim::Translator;
+        use asdb_worldgen::{World, WorldConfig};
+
+        for s in 1..=3 {
+            let w = World::generate(WorldConfig::standard(WorldSeed::new(s)));
+            let translator = Translator::new(w.config.web.translation_loss, WorldSeed::new(s));
+            let mut texts = Vec::new();
+            for domain in w.orgs.iter().filter_map(|o| o.domain.as_ref()) {
+                if let Ok(page) = scrape(&w.web, domain, &ScrapeConfig::default()) {
+                    texts.push(translator.translate(&page.text));
+                    texts.push(page.text);
+                }
+            }
+            assert!(texts.len() > 2_000, "seed {s}: only {} texts", texts.len());
+            let docs: Vec<&str> = texts.iter().map(String::as_str).collect();
+            let (f, features) =
+                TextFeaturizer::fit_transform(&docs, PipelineConfig::asdb_default().vectorizer);
+            assert!(
+                f.vocab_len() > 200,
+                "seed {s}: vocabulary of {}",
+                f.vocab_len()
+            );
+            for (doc, x) in docs.iter().zip(&features) {
+                let got = f.featurize(doc);
+                assert_eq!(got, f.featurize_naive(doc), "seed {s}: {doc:?}");
+                assert_eq!(&got, x, "seed {s}: {doc:?}");
+            }
+        }
+    }
 }

@@ -1,16 +1,27 @@
 //! Word tokenization and stopword filtering.
 //!
-//! Two zero-copy entry points back the hot paths:
+//! A word is a maximal run of alphanumeric chars (`char::is_alphanumeric`)
+//! at least two *bytes* long, lower-cased. That differs from
+//! scikit-learn's `\w\w+` in three ways: `_` and combining marks such
+//! as U+0301 split words instead of joining them; a lone two-byte letter
+//! such as `é` or `ß` is a word; and length is counted before folding, so
+//! the Kelvin sign U+212A (three bytes) alone is a word that folds to
+//! `k`. A *token* is a word that is neither a stopword nor all ASCII
+//! digits.
 //!
-//! * [`tokens`] — an iterator of [`Cow<str>`] slices. Tokens that are
-//!   already lower-case ASCII (the overwhelmingly common case for the
-//!   web-page text the scraper produces) are borrowed straight from the
-//!   input; only tokens that actually need case-folding allocate.
-//! * [`for_each_token`] — internal iteration with a caller-provided
-//!   reusable lowercase buffer, so a tight loop (vocabulary fitting,
-//!   count vectorization) performs **no** per-token allocation at all.
+//! Two entry points share that rule:
 //!
-//! The legacy [`tokenize`] (`Vec<String>`) remains as a thin wrapper.
+//! * [`for_each_word`] — the byte-level splitter behind every per-page
+//!   pass: [`crate::CountVectorizer::transform`] and Zvelo's scorer in
+//!   `asdb-sources`. It yields words, not tokens; a caller that needs
+//!   tokens applies the stopword and number filter itself, or (as the
+//!   vectorizer does) probes a vocabulary that holds neither.
+//! * [`tokens`] — an iterator of [`Cow<str>`] tokens, used to fit a
+//!   vocabulary. Tokens that are already lower-case ASCII are borrowed
+//!   straight from the input; only tokens that need case-folding
+//!   allocate.
+//!
+//! [`tokenize`] (`Vec<String>`) is a thin wrapper over [`tokens`].
 
 use std::borrow::Cow;
 
@@ -43,17 +54,16 @@ fn is_lowercase_ascii(raw: &str) -> bool {
     raw.bytes().all(|b| b.is_ascii() && !b.is_ascii_uppercase())
 }
 
-/// Post-casefold filters shared by every entry point: drop pure numbers
-/// and stopwords.
+/// The filter that turns a word into a token: drop pure numbers and
+/// stopwords.
 #[inline]
 fn keep_token(tok: &str) -> bool {
     !tok.bytes().all(|b| b.is_ascii_digit()) && !is_stopword(tok)
 }
 
-/// Iterate tokens as borrowed slices where possible. Yields lower-cased
-/// alphanumeric words of length ≥ 2, dropping stopwords and pure numbers —
-/// scikit-learn's `CountVectorizer` default token pattern (`\w\w+`) plus
-/// stopword removal. Already-lowercase ASCII words are `Cow::Borrowed`.
+/// Iterate tokens as borrowed slices where possible: the words of
+/// [`for_each_word`], minus stopwords and pure numbers. Already-lowercase
+/// ASCII tokens are `Cow::Borrowed`.
 pub fn tokens(text: &str) -> impl Iterator<Item = Cow<'_, str>> {
     text.split(|c: char| !c.is_alphanumeric())
         .filter_map(|raw| {
@@ -69,28 +79,67 @@ pub fn tokens(text: &str) -> impl Iterator<Item = Cow<'_, str>> {
         })
 }
 
-/// Internal-iteration tokenizer with a reusable lowercase scratch buffer:
-/// calls `f` once per surviving token with a `&str` that is either a slice
-/// of `text` or the contents of `buf`. Performs zero allocations once
-/// `buf` has grown to the longest cased token.
-pub fn for_each_token(text: &str, buf: &mut String, mut f: impl FnMut(&str)) {
-    for raw in text.split(|c: char| !c.is_alphanumeric()) {
-        if raw.len() < 2 {
+/// Call `f` once per lower-cased word of `text`, in order (see the module
+/// docs for what a word is; stopwords and numbers are *not* dropped).
+///
+/// The scan is byte-level: ASCII bytes are classified directly, and a
+/// char is decoded, and tested with `char::is_alphanumeric`, only where a
+/// non-ASCII byte starts one. An all-ASCII word is passed as a slice of
+/// `text` when it holds no upper-case byte, else folded in `buf` with
+/// `make_ascii_lowercase`. A word holding a non-ASCII char goes through
+/// `str::to_lowercase` (not per-char folding, so context-sensitive rules
+/// like the final sigma stay exact). No allocation happens on the ASCII
+/// path once `buf` has grown to the longest cased word.
+pub fn for_each_word(text: &str, buf: &mut String, mut f: impl FnMut(&str)) {
+    let bytes = text.as_bytes();
+    let mut start = 0;
+    let mut upper = false;
+    let mut non_ascii = false;
+    let mut i = 0;
+    while i < bytes.len() {
+        let b = bytes[i];
+        if b.is_ascii_alphanumeric() {
+            upper |= b.is_ascii_uppercase();
+            i += 1;
             continue;
         }
-        let tok: &str = if is_lowercase_ascii(raw) {
-            raw
+        let (alnum, width) = if b.is_ascii() {
+            (false, 1)
         } else {
-            buf.clear();
-            // `str::to_lowercase` (not per-char folding) so multi-char and
-            // context-sensitive lowercasings match the legacy tokenizer
-            // exactly; the allocation it makes is the rare cased path.
-            buf.push_str(&raw.to_lowercase());
-            buf
+            let c = text[i..].chars().next().expect("i is on a char boundary");
+            (c.is_alphanumeric(), c.len_utf8())
         };
-        if keep_token(tok) {
-            f(tok);
+        if alnum {
+            non_ascii = true;
+        } else {
+            emit_word(&text[start..i], upper, non_ascii, buf, &mut f);
+            start = i + width;
+            upper = false;
+            non_ascii = false;
         }
+        i += width;
+    }
+    emit_word(&text[start..], upper, non_ascii, buf, &mut f);
+}
+
+/// Fold and pass on one raw word of [`for_each_word`], if it is at least
+/// two bytes long.
+#[inline]
+fn emit_word(raw: &str, upper: bool, non_ascii: bool, buf: &mut String, f: &mut impl FnMut(&str)) {
+    if raw.len() < 2 {
+        return;
+    }
+    if non_ascii {
+        buf.clear();
+        buf.push_str(&raw.to_lowercase());
+        f(buf);
+    } else if upper {
+        buf.clear();
+        buf.push_str(raw);
+        buf.make_ascii_lowercase();
+        f(buf);
+    } else {
+        f(raw);
     }
 }
 
@@ -100,10 +149,18 @@ pub fn tokenize(text: &str) -> Vec<String> {
     tokens(text).map(Cow::into_owned).collect()
 }
 
+/// Chars that stress the splitter: ASCII letters of both cases,
+/// digits, ASCII separators including `_`, a no-break space, two-byte
+/// letters, the final-sigma letter, the Kelvin sign (folds to ASCII
+/// `k`), dotted capital I (folds to two chars), a combining mark and a
+/// non-ASCII digit.
+#[cfg(test)]
+pub(crate) const WORD_CHARS: &str = "A-Za-z0-9_' \u{A0}ÉßΣ\u{212A}\u{130}\u{301}\u{663}-";
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::check::{self, any_string, CASES};
+    use rand::check::{self, any_string, class_string, CASES};
 
     #[test]
     fn stopwords_are_sorted_for_binary_search() {
@@ -149,8 +206,20 @@ mod tests {
         assert_eq!(kinds, vec![true, false, true]);
     }
 
+    /// The words of `text` that pass the keep rule, via [`for_each_word`].
+    fn word_tokens(text: &str) -> Vec<String> {
+        let mut buf = String::new();
+        let mut out = Vec::new();
+        for_each_word(text, &mut buf, |w| {
+            if keep_token(w) {
+                out.push(w.to_owned());
+            }
+        });
+        out
+    }
+
     #[test]
-    fn for_each_token_matches_tokenize() {
+    fn for_each_word_matches_tokenize() {
         let samples = [
             "We provide the BEST fiber internet!",
             "Schnelles Internet für Zuhause",
@@ -158,12 +227,32 @@ mod tests {
             "ΣΊΣΥΦΟΣ carries the stone", // final-sigma casefold
             "",
         ];
-        let mut buf = String::new();
         for text in samples {
-            let mut via_callback = Vec::new();
-            for_each_token(text, &mut buf, |t| via_callback.push(t.to_owned()));
-            assert_eq!(via_callback, tokenize(text), "{text:?}");
+            assert_eq!(word_tokens(text), tokenize(text), "{text:?}");
         }
+    }
+
+    #[test]
+    fn words_follow_the_byte_rule() {
+        let mut buf = String::new();
+        let mut words = Vec::new();
+        let text = "snake_case é ß x K \u{212A} cafe\u{301}s ΣΑΣ ٣٣ TCP/IP";
+        for_each_word(text, &mut buf, |w| words.push(w.to_owned()));
+        // `_` and the combining acute split words; `é`, `ß` and the
+        // Kelvin sign are two or more bytes, one-byte `x` and `K` are not.
+        assert_eq!(
+            words,
+            ["snake", "case", "é", "ß", "k", "cafe", "σας", "٣٣", "tcp", "ip"].map(str::to_owned)
+        );
+    }
+
+    #[test]
+    fn for_each_word_matches_tokenize_on_tricky_chars() {
+        check::cases(
+            CASES,
+            |rng| class_string(rng, WORD_CHARS, 0..=80),
+            |s| assert_eq!(word_tokens(&s), tokenize(&s)),
+        );
     }
 
     #[test]
@@ -190,11 +279,8 @@ mod tests {
             |s| {
                 let owned = tokenize(&s);
                 let via_iter: Vec<String> = tokens(&s).map(|c| c.into_owned()).collect();
-                let mut buf = String::new();
-                let mut via_cb = Vec::new();
-                for_each_token(&s, &mut buf, |t| via_cb.push(t.to_owned()));
                 assert_eq!(&owned, &via_iter);
-                assert_eq!(&owned, &via_cb);
+                assert_eq!(&owned, &word_tokens(&s));
             },
         );
     }

@@ -1,14 +1,14 @@
 //! Vocabulary building and sparse count vectors.
 //!
-//! Both the fit and transform paths are allocation-lean: tokens are
-//! borrowed via [`crate::tokenize::for_each_token`]/[`crate::tokenize::tokens`]
-//! and looked up in the vocabulary by `&str`; a document's own `String` is
-//! only cloned the first time a token enters the statistics map during
-//! fitting. Count vectors are assembled index-ordered and handed to
-//! [`SparseVec::from_sorted_counts`], bypassing the pair sort of
-//! [`SparseVec::from_pairs`].
+//! Both the fit and transform paths are allocation-lean: fitting borrows
+//! tokens via [`crate::tokenize::tokens`], and transforming borrows words
+//! via [`crate::tokenize::for_each_word`]; both look the vocabulary up by
+//! `&str`. A document's own `String` is only cloned the first time a token
+//! enters the statistics map during fitting. Count vectors are assembled
+//! index-ordered and handed to [`SparseVec::from_sorted_counts`],
+//! bypassing the pair sort of [`SparseVec::from_pairs`].
 
-use crate::tokenize::{for_each_token, tokens};
+use crate::tokenize::{for_each_word, tokens};
 use std::borrow::Cow;
 use std::collections::HashMap;
 
@@ -171,9 +171,12 @@ impl CountVectorizer {
         }
     }
 
-    /// Fit the vocabulary on a corpus and return the transformed corpus.
-    /// Tokenizes each document exactly once: the token stream is kept
-    /// (mostly borrowed) and replayed for the transform pass.
+    /// Fit the vocabulary on a corpus and return the transformed corpus:
+    /// apply the document-frequency filters, keep the `max_features` most
+    /// frequent tokens, and assign indices in deterministic
+    /// (frequency-desc, then lexicographic) order. Tokenizes each document
+    /// exactly once: the token stream is kept (mostly borrowed) and
+    /// replayed for the transform pass.
     pub fn fit_transform(&mut self, docs: &[&str]) -> Vec<SparseVec> {
         let tokenized: Vec<Vec<Cow<str>>> = docs.iter().map(|d| tokens(d).collect()).collect();
         let mut stats: HashMap<String, TokenStats> = HashMap::new();
@@ -187,18 +190,6 @@ impl CountVectorizer {
             .iter()
             .map(|toks| self.vectorize_tokens(toks.iter().map(|c| c.as_ref())))
             .collect()
-    }
-
-    /// Fit the vocabulary: tokenize every document, apply document-frequency
-    /// filters, keep the `max_features` most frequent tokens, and assign
-    /// indices in deterministic (frequency-desc, then lexicographic) order.
-    pub fn fit(&mut self, docs: &[&str]) {
-        let mut stats: HashMap<String, TokenStats> = HashMap::new();
-        let mut buf = String::new();
-        for (d, doc) in docs.iter().enumerate() {
-            for_each_token(doc, &mut buf, |t| Self::bump(&mut stats, t, d + 1));
-        }
-        self.select_vocab(stats, docs.len());
     }
 
     /// Count one token occurrence in document `marker` (doc index + 1, so
@@ -242,13 +233,16 @@ impl CountVectorizer {
     }
 
     /// Transform one document into a count vector over the fitted
-    /// vocabulary. Unknown tokens are ignored. Tokens are borrowed (one
+    /// vocabulary. Unknown tokens are ignored. Words are borrowed (one
     /// reusable case-fold buffer), looked up by `&str`, and counts are
     /// assembled index-ordered into [`SparseVec::from_sorted_counts`].
     pub fn transform(&self, doc: &str) -> SparseVec {
         let mut buf = String::new();
         let mut idxs: Vec<u32> = Vec::new();
-        for_each_token(doc, &mut buf, |t| {
+        // Every word probes the vocabulary as it is, with no stopword or
+        // number check: fitting admits only tokens, so a stopword or a pure
+        // number is never in the vocabulary and the probe alone drops it.
+        for_each_word(doc, &mut buf, |t| {
             if let Some(&i) = self.vocab.get(t) {
                 idxs.push(i);
             }
@@ -309,8 +303,10 @@ impl CountVectorizer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::check::{self, any_string, vec_of, CASES};
-    use rand::RngExt;
+    use crate::tokenize::WORD_CHARS;
+    use rand::check::{self, any_string, class_string, vec_of, CASES};
+    use rand::rngs::StdRng;
+    use rand::{RngExt, SeedableRng};
 
     #[test]
     fn sparse_from_pairs_sums_duplicates_and_sorts() {
@@ -372,22 +368,16 @@ mod tests {
     }
 
     #[test]
-    fn fit_transform_matches_fit_then_transform() {
+    fn fit_transform_matches_transform() {
         let docs = corpus();
-        let mut a = CountVectorizer::new(VectorizerConfig {
+        let mut vz = CountVectorizer::new(VectorizerConfig {
             max_features: 100,
             min_df: 1,
             max_df_ratio: 1.0,
         });
-        let xs = a.fit_transform(&docs);
-        let mut b = CountVectorizer::new(VectorizerConfig {
-            max_features: 100,
-            min_df: 1,
-            max_df_ratio: 1.0,
-        });
-        b.fit(&docs);
+        let xs = vz.fit_transform(&docs);
         for (doc, x) in docs.iter().zip(&xs) {
-            assert_eq!(*x, b.transform(doc), "{doc}");
+            assert_eq!(*x, vz.transform(doc), "{doc}");
         }
     }
 
@@ -399,7 +389,7 @@ mod tests {
             min_df: 1,
             max_df_ratio: 1.0,
         });
-        vz.fit(&docs);
+        vz.fit_transform(&docs);
         for doc in docs
             .iter()
             .chain(["UPPER Case fiber Network!", "novel words only", ""].iter())
@@ -416,7 +406,7 @@ mod tests {
             min_df: 2,
             max_df_ratio: 1.0,
         });
-        vz.fit(&docs);
+        vz.fit_transform(&docs);
         assert!(vz.index_of("coverage").is_none(), "df=1 token kept");
         assert!(vz.index_of("fiber").is_some());
     }
@@ -429,7 +419,7 @@ mod tests {
             min_df: 1,
             max_df_ratio: 0.8,
         });
-        vz.fit(&docs);
+        vz.fit_transform(&docs);
         assert!(vz.index_of("network").is_none(), "df=100% token kept");
     }
 
@@ -441,7 +431,7 @@ mod tests {
             min_df: 1,
             max_df_ratio: 1.0,
         });
-        vz.fit(&docs);
+        vz.fit_transform(&docs);
         assert_eq!(vz.vocab_len(), 3);
     }
 
@@ -454,7 +444,7 @@ mod tests {
             min_df: 2,
             max_df_ratio: 1.0,
         });
-        vz.fit(&docs);
+        vz.fit_transform(&docs);
         assert!(vz.index_of("fiber").is_some());
         assert!(vz.index_of("cable").is_none(), "df=1 token kept");
         let x = vz.transform("fiber fiber");
@@ -465,7 +455,7 @@ mod tests {
     fn unknown_tokens_ignored_on_transform() {
         let docs = corpus();
         let mut vz = CountVectorizer::new(VectorizerConfig::default());
-        vz.fit(&docs);
+        vz.fit_transform(&docs);
         let x = vz.transform("completely novel wording here");
         assert!(x.is_empty());
     }
@@ -475,8 +465,7 @@ mod tests {
         let docs = corpus();
         let mut a = CountVectorizer::new(VectorizerConfig::default());
         let mut b = CountVectorizer::new(VectorizerConfig::default());
-        a.fit(&docs);
-        b.fit(&docs);
+        assert_eq!(a.fit_transform(&docs), b.fit_transform(&docs));
         for t in ["fiber", "hosting", "network", "internet"] {
             assert_eq!(a.index_of(t), b.index_of(t));
         }
@@ -514,7 +503,7 @@ mod tests {
             min_df: 1,
             max_df_ratio: 1.0,
         });
-        vz.fit(&docs);
+        vz.fit_transform(&docs);
         check::cases(
             CASES,
             |rng| any_string(rng, 0..=200),
@@ -522,6 +511,28 @@ mod tests {
                 assert_eq!(vz.transform(&doc), vz.transform_naive(&doc));
             },
         );
+    }
+
+    /// The transform agrees with the naive reference on text built from
+    /// cased, non-ASCII, combining and separator chars, against a
+    /// vocabulary fitted on such text.
+    #[test]
+    fn transform_matches_naive_on_tricky_chars() {
+        let draw = |rng: &mut _| class_string(rng, WORD_CHARS, 0..=120);
+        let docs: Vec<String> = (0..64)
+            .map(|seed| draw(&mut StdRng::seed_from_u64(seed)))
+            .collect();
+        let doc_refs: Vec<&str> = docs.iter().map(String::as_str).collect();
+        let mut vz = CountVectorizer::new(VectorizerConfig {
+            max_features: 10_000,
+            min_df: 1,
+            max_df_ratio: 1.0,
+        });
+        vz.fit_transform(&doc_refs);
+        assert!(vz.vocab_len() > 100, "vocabulary of {}", vz.vocab_len());
+        check::cases(CASES, draw, |doc| {
+            assert_eq!(vz.transform(&doc), vz.transform_naive(&doc));
+        });
     }
 
     /// dot via partition matches a filtered fold for any dense length.
