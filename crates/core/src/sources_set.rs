@@ -12,11 +12,16 @@
 //! partial-coverage consensus runs on whatever subset answered, and the
 //! unavailable subset is surfaced as `degraded`.
 //!
-//! Determinism: each source has its own logical clock inside the sim and
-//! the stages touch disjoint source subsets, so outcomes do not depend on
-//! the order of calls or on other batch workers — equal seeds replay equal
-//! faults — and with faults disabled the layer is transparent (same
-//! matches as a direct `search` loop).
+//! Determinism: with faults disabled the layer is transparent (same
+//! matches as a direct `search` loop), so outcomes depend on nothing but
+//! the query. With faults enabled, each source's fault draws follow its
+//! own logical call clock inside the sim (an `AtomicU64` per source), and
+//! each source's circuit-breaker state sits behind one `Mutex` that all
+//! workers share. On one thread the
+//! calls arrive in a fixed order, so equal seeds replay equal faults. With
+//! several batch workers, which record takes which clock tick, and what
+//! state the breaker is in, depend on scheduling, so outcomes can differ
+//! between runs.
 
 use crate::metrics::PipelineMetrics;
 use asdb_model::{Asn, Domain, WorldSeed};

@@ -14,14 +14,16 @@
 //! into Zvelo's output exactly as they do for the real service. On top of
 //! the content classifier sits Zvelo's *taxonomy mapping* noise
 //! ([`crate::profile::ZVELO`]): hosting sites usually end up under generic
-//! internet/technology labels (25% hosting recall vs 81% ISP).
+//! internet/technology labels (25% hosting recall vs 81% ISP). The labels
+//! each layer-2 category can map to are looked up in the scheme once, when
+//! the service is built; a classification only draws among them.
 
-use crate::profile::{self, ZveloProfile};
+use crate::profile;
 use crate::{DataSource, Query, SourceId, SourceMatch};
 use asdb_model::{Domain, OrgId, WorldSeed};
 use asdb_taxonomy::naicslite::known;
-use asdb_taxonomy::schemes::ZVELO;
-use asdb_taxonomy::{Category, CategorySet, Layer2};
+use asdb_taxonomy::schemes::{SchemeCategory, ZVELO};
+use asdb_taxonomy::{CategorySet, Layer2};
 use asdb_textml::for_each_word;
 use asdb_websim::scraper::{scrape, ScrapeConfig};
 use asdb_websim::vocab::vocabulary;
@@ -30,17 +32,22 @@ use asdb_worldgen::World;
 use rand::rngs::StdRng;
 use rand::seq::IndexedRandom;
 use rand::{RngExt, SeedableRng};
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 
 /// The simulated Zvelo service.
 #[derive(Debug, Clone)]
 pub struct Zvelo {
     web: SimWeb,
     org_domain: HashMap<OrgId, Domain>,
-    profile: ZveloProfile,
+    scrape_config: ScrapeConfig,
     translator: Translator,
     index: VocabIndex,
-    seed: WorldSeed,
+    /// The taxonomy mapping of every layer-2 category the scorer returns.
+    mappings: BTreeMap<Layer2, SchemeMapping>,
+    /// The label of a parked page.
+    parked: (String, CategorySet),
+    /// The seed the per-domain mapping draws derive from.
+    map_seed: WorldSeed,
 }
 
 impl Zvelo {
@@ -51,69 +58,107 @@ impl Zvelo {
             .iter()
             .filter_map(|o| o.domain.clone().map(|d| (o.id, d)))
             .collect();
+        let labels: Vec<_> = ZVELO.categories.iter().map(label).collect();
         Zvelo {
             web: world.web.clone(),
             org_domain,
-            profile: profile::ZVELO,
+            scrape_config: ScrapeConfig::default(),
             translator: Translator::new(0.03, seed.derive("zvelo-mt")),
             index: VocabIndex::build(vocabulary),
-            seed: seed.derive("zvelo"),
+            mappings: Layer2::all()
+                .map(|l2| (l2, SchemeMapping::build(l2, &labels)))
+                .collect(),
+            parked: label(ZVELO.category("Parked Domains").expect("scheme has it")),
+            map_seed: seed.derive("zvelo").derive("map"),
         }
     }
 
     /// Classify a domain's website content. `None` when the site is
     /// unreachable/nonexistent.
     pub fn classify_domain(&self, domain: &Domain) -> Option<(String, CategorySet)> {
-        let result = scrape(&self.web, domain, &ScrapeConfig::default()).ok()?;
+        let result = scrape(&self.web, domain, &self.scrape_config).ok()?;
         let english = self.translator.translate(&result.text);
         match self.index.top_category(&english) {
             Some(top) => Some(self.map_to_scheme(top, domain)),
-            None => {
-                let cat = ZVELO.category("Parked Domains").expect("scheme has it");
-                Some((cat.name.to_owned(), cat.to_naicslite()))
-            }
+            None => Some(self.parked.clone()),
         }
     }
 
-    /// Zvelo's taxonomy mapping with the calibrated ambiguity noise.
+    /// Zvelo's taxonomy mapping with the calibrated ambiguity noise: the
+    /// draws of [`SchemeMapping`]'s rule, seeded per domain.
     fn map_to_scheme(&self, top: Layer2, domain: &Domain) -> (String, CategorySet) {
-        let mut rng =
-            StdRng::seed_from_u64(self.seed.derive("map").derive(domain.as_str()).value());
+        let mapping = &self.mappings[&top];
+        let mut rng = StdRng::seed_from_u64(self.map_seed.derive(domain.as_str()).value());
+        if rng.random_bool(mapping.kept_prob) {
+            if let Some(kept) = &mapping.kept {
+                return kept.clone();
+            }
+        }
+        mapping
+            .alternatives
+            .choose(&mut rng)
+            .expect("every mapping has alternatives")
+            .clone()
+    }
+}
+
+/// A Zvelo label with its NAICSlite mapping.
+fn label(cat: &SchemeCategory) -> (String, CategorySet) {
+    (cat.name.to_owned(), cat.to_naicslite())
+}
+
+/// The labels Zvelo's taxonomy mapping can give one scored layer-2
+/// category, precomputed from the [`ZVELO`] scheme. With probability
+/// `kept_prob` the category keeps its own label, the first scheme label
+/// covering it. Otherwise, or when no label covers it, it gets a uniformly
+/// drawn alternative: a same-layer-1 label that does not cover it, or a
+/// generic fallback when there is none (right neighborhood, wrong
+/// subcategory).
+#[derive(Debug, Clone)]
+struct SchemeMapping {
+    kept_prob: f64,
+    kept: Option<(String, CategorySet)>,
+    alternatives: Vec<(String, CategorySet)>,
+}
+
+impl SchemeMapping {
+    /// The mapping of `top`, from `labels`: every [`ZVELO`] label in
+    /// scheme order.
+    fn build(top: Layer2, labels: &[(String, CategorySet)]) -> SchemeMapping {
+        let profile = profile::ZVELO;
         let kept_prob = if top == known::hosting() {
-            self.profile.hosting_kept
+            profile.hosting_kept
         } else if top == known::isp() {
-            self.profile.isp_kept
+            profile.isp_kept
         } else if top.layer1.is_tech() {
             0.62
         } else {
-            self.profile.nontech_kept
+            profile.nontech_kept
         };
-        if rng.random_bool(kept_prob) {
-            if let Some(cat) = ZVELO.covering(Category::l2(top)).first() {
-                return (cat.name.to_owned(), cat.to_naicslite());
-            }
-        }
-        // Generic fallback labels: right neighborhood, wrong subcategory.
+        let covers = |cats: &CategorySet| cats.iter().any(|c| c.layer2 == Some(top));
+        let siblings: Vec<_> = labels
+            .iter()
+            .filter(|(_, cats)| cats.iter().any(|c| c.layer1 == top.layer1) && !covers(cats))
+            .cloned()
+            .collect();
         let fallback_names: &[&str] = if top.layer1.is_tech() {
             &["Internet Services", "Technology (General)"]
         } else {
             &["Business Services", "News and Media", "Shopping"]
         };
-        // Prefer a same-L1 sibling label when one exists.
-        let siblings = ZVELO.covering_l1(top.layer1);
-        let pick = siblings
-            .iter()
-            .filter(|c| !c.to_naicslite().layer2s().contains(&top))
-            .collect::<Vec<_>>();
-        if let Some(cat) = pick.choose(&mut rng) {
-            return (cat.name.to_owned(), cat.to_naicslite());
+        let alternatives = if siblings.is_empty() {
+            fallback_names
+                .iter()
+                .map(|name| label(ZVELO.category(name).expect("fallbacks exist in scheme")))
+                .collect()
+        } else {
+            siblings
+        };
+        SchemeMapping {
+            kept_prob,
+            kept: labels.iter().find(|(_, cats)| covers(cats)).cloned(),
+            alternatives,
         }
-        let name = fallback_names
-            .choose(&mut rng)
-            .copied()
-            .unwrap_or("Business Services");
-        let cat = ZVELO.category(name).expect("fallbacks exist in scheme");
-        (cat.name.to_owned(), cat.to_naicslite())
     }
 }
 
@@ -253,6 +298,7 @@ impl DataSource for Zvelo {
 mod tests {
     use super::*;
     use asdb_model::WorldSeed;
+    use asdb_taxonomy::Category;
     use asdb_worldgen::WorldConfig;
     use rand::check::{self, class_string, CASES};
     use std::collections::HashSet;
@@ -288,7 +334,7 @@ mod tests {
 
     /// [`Zvelo::classify_domain`] over [`top_category_hashset`].
     fn classify_domain_hashset(z: &Zvelo, domain: &Domain) -> Option<(String, CategorySet)> {
-        let result = scrape(&z.web, domain, &ScrapeConfig::default()).ok()?;
+        let result = scrape(&z.web, domain, &z.scrape_config).ok()?;
         let english = z.translator.translate(&result.text);
         match top_category_hashset(vocabulary, &english) {
             Some(top) => Some(z.map_to_scheme(top, domain)),
@@ -318,6 +364,85 @@ mod tests {
             }
             assert!(classified > 1_000, "seed {s}: only {classified} classified");
         }
+    }
+
+    /// The taxonomy mapping before [`SchemeMapping`]: the covering and
+    /// sibling labels looked up in the scheme on every call. `seed` is the
+    /// service's `zvelo` seed. Kept here only as the differential oracle
+    /// for [`Zvelo::map_to_scheme`].
+    fn map_to_scheme_oracle(
+        seed: WorldSeed,
+        top: Layer2,
+        domain: &Domain,
+    ) -> (String, CategorySet) {
+        let profile = profile::ZVELO;
+        let mut rng = StdRng::seed_from_u64(seed.derive("map").derive(domain.as_str()).value());
+        let kept_prob = if top == known::hosting() {
+            profile.hosting_kept
+        } else if top == known::isp() {
+            profile.isp_kept
+        } else if top.layer1.is_tech() {
+            0.62
+        } else {
+            profile.nontech_kept
+        };
+        if rng.random_bool(kept_prob) {
+            if let Some(cat) = ZVELO.covering(Category::l2(top)).first() {
+                return (cat.name.to_owned(), cat.to_naicslite());
+            }
+        }
+        let fallback_names: &[&str] = if top.layer1.is_tech() {
+            &["Internet Services", "Technology (General)"]
+        } else {
+            &["Business Services", "News and Media", "Shopping"]
+        };
+        let siblings = ZVELO.covering_l1(top.layer1);
+        let pick = siblings
+            .iter()
+            .filter(|c| !c.to_naicslite().layer2s().contains(&top))
+            .collect::<Vec<_>>();
+        if let Some(cat) = pick.choose(&mut rng) {
+            return (cat.name.to_owned(), cat.to_naicslite());
+        }
+        let name = fallback_names
+            .choose(&mut rng)
+            .copied()
+            .unwrap_or("Business Services");
+        let cat = ZVELO.category(name).expect("fallbacks exist in scheme");
+        (cat.name.to_owned(), cat.to_naicslite())
+    }
+
+    /// The precomputed mapping returns the oracle's label for every
+    /// layer-2 category, not only those the standard worlds top-score,
+    /// across 50 domains each, and reaches both the kept label and the
+    /// alternatives. (Every category of the shipped scheme has a
+    /// same-layer-1 sibling label, so the generic fallbacks are never
+    /// drawn.)
+    #[test]
+    fn precomputed_mapping_matches_oracle_on_every_category() {
+        let seed = WorldSeed::new(52);
+        let (_, z) = setup();
+        let domains: Vec<Domain> = (0..50)
+            .map(|i| Domain::new(&format!("site{i}.example")).expect("a valid domain"))
+            .collect();
+        let (mut kept, mut alternative) = (0usize, 0usize);
+        for top in Layer2::all() {
+            let mapping = &z.mappings[&top];
+            for domain in &domains {
+                let got = z.map_to_scheme(top, domain);
+                assert_eq!(
+                    got,
+                    map_to_scheme_oracle(seed.derive("zvelo"), top, domain),
+                    "{top}, {domain}"
+                );
+                kept += usize::from(mapping.kept.as_ref() == Some(&got));
+                alternative += usize::from(mapping.alternatives.contains(&got));
+            }
+        }
+        assert!(
+            kept > 500 && alternative > 500,
+            "kept {kept}, alternative {alternative}"
+        );
     }
 
     /// A made-up vocabulary: `Layer2::all()`'s first three categories list

@@ -9,6 +9,7 @@
 
 use crate::site::Website;
 use asdb_model::{Domain, Url, WorldSeed};
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::fmt;
 use std::time::Duration;
@@ -39,9 +40,9 @@ impl std::error::Error for FetchError {}
 /// A successful fetch: the markup and how long the request took in
 /// simulated time.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Fetched {
-    /// Raw page markup.
-    pub markup: String,
+pub struct Fetched<'a> {
+    /// Raw page markup, borrowed from the fetcher where it holds the page.
+    pub markup: Cow<'a, str>,
     /// Simulated request latency.
     pub latency: Duration,
 }
@@ -49,7 +50,7 @@ pub struct Fetched {
 /// Anything the scraper can fetch pages from.
 pub trait Fetcher {
     /// Fetch a URL.
-    fn fetch(&self, url: &Url) -> Result<Fetched, FetchError>;
+    fn fetch(&self, url: &Url) -> Result<Fetched<'_>, FetchError>;
 }
 
 /// The simulated web: a registry of generated websites plus a set of
@@ -114,14 +115,15 @@ impl SimWeb {
 }
 
 impl Fetcher for SimWeb {
-    fn fetch(&self, url: &Url) -> Result<Fetched, FetchError> {
+    /// The page's markup is borrowed from the hosted site, not copied.
+    fn fetch(&self, url: &Url) -> Result<Fetched<'_>, FetchError> {
         if self.unreachable.contains_key(&url.host) {
             return Err(FetchError::Unreachable);
         }
         let site = self.sites.get(&url.host).ok_or(FetchError::NoSuchHost)?;
         let markup = site.pages.get(&url.path).ok_or(FetchError::NotFound)?;
         Ok(Fetched {
-            markup: markup.clone(),
+            markup: Cow::Borrowed(markup),
             latency: self.latency(url),
         })
     }

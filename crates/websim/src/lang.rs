@@ -7,6 +7,11 @@
 //! prefix/suffix mangling that the [`Translator`] strips. Translation is
 //! deliberately lossy at a small configurable rate — real MT also garbles
 //! words — so the ML pipeline sees realistic post-translation text.
+//!
+//! Both the ML detectors and Zvelo translate every page they scrape, so
+//! detection and the rebuild work on bytes: one scan finds the words, and
+//! each word costs one probe of its last bytes. Only a non-ASCII word, or
+//! a lead byte that can start a non-ASCII space, pays for Unicode.
 
 use asdb_model::WorldSeed;
 use rand::rngs::StdRng;
@@ -81,31 +86,43 @@ impl Language {
     }
 
     /// Detect the language of a text by its dominant suffix marker,
-    /// matched case-insensitively. ASCII words, the usual case, are
-    /// compared in place; other words are lowercased once. A word is only
-    /// compared against the markers when it has an `x` where a three- or
-    /// four-byte marker would start.
+    /// matched case-insensitively: the language whose marker ends at least
+    /// half of the words wins, the later one on a tie.
+    ///
+    /// Words are those of `str::split_whitespace`, found byte by byte: a
+    /// char is decoded only at a lead byte that can start a non-ASCII
+    /// White_Space char (`space_len`). Each word costs one probe of its
+    /// last three or four bytes (`marker_slot`). A non-ASCII word is
+    /// lowercased first, since the Kelvin sign folds to `k`.
     pub fn detect(text: &str) -> Language {
+        let bytes = text.as_bytes();
         let mut counts = [0usize; 8];
         let mut words = 0usize;
-        for w in text.split_whitespace() {
-            words += 1;
-            let lowered;
-            let w = if w.is_ascii() {
-                w.as_bytes()
-            } else {
-                lowered = w.to_lowercase();
-                lowered.as_bytes()
-            };
-            let x_at =
-                |back: usize| w.len() >= back && w[w.len() - back].eq_ignore_ascii_case(&b'x');
-            if !(x_at(3) || x_at(4)) {
+        let mut i = 0;
+        while i < bytes.len() {
+            let space = space_len(text, i);
+            if space > 0 {
+                i += space;
                 continue;
             }
-            for (count, lang) in counts.iter_mut().zip(Language::NON_ENGLISH) {
-                if ends_with_ignore_ascii_case(w, lang.marker().as_bytes()) {
-                    *count += 1;
+            let start = i;
+            let mut ascii = true;
+            loop {
+                i = next_unusual(bytes, i);
+                if i == bytes.len() || space_len(text, i) > 0 {
+                    break;
                 }
+                ascii &= bytes[i].is_ascii();
+                i += 1;
+            }
+            words += 1;
+            let slot = if ascii {
+                marker_slot(&bytes[start..i])
+            } else {
+                marker_slot(text[start..i].to_lowercase().as_bytes())
+            };
+            if let Some(slot) = slot {
+                counts[slot] += 1;
             }
         }
         if words == 0 {
@@ -122,6 +139,80 @@ impl Language {
             Language::English
         }
     }
+}
+
+/// The index of the first byte at or after `i` that is an ASCII control or
+/// space (at most `0x20`) or not ASCII (at least `0x80`); `bytes.len()`
+/// when there is none. Only such a byte can start White_Space, so scans
+/// skip the printable ASCII between them eight bytes at a time.
+fn next_unusual(bytes: &[u8], mut i: usize) -> usize {
+    const ONES: u64 = u64::from_ne_bytes([0x01; 8]);
+    const HIGHS: u64 = u64::from_ne_bytes([0x80; 8]);
+    while let Some(chunk) = bytes.get(i..i + 8) {
+        let x = u64::from_le_bytes(chunk.try_into().expect("eight bytes"));
+        // A byte below 0x21 borrows and sets its high bit; a non-ASCII byte
+        // has it set. Borrows only reach higher bytes, so the lowest flag
+        // is exact.
+        let flags = (x.wrapping_sub(ONES * 0x21) | x) & HIGHS;
+        if flags != 0 {
+            return i + flags.trailing_zeros() as usize / 8;
+        }
+        i += 8;
+    }
+    while i < bytes.len() && (0x21..0x80).contains(&bytes[i]) {
+        i += 1;
+    }
+    i
+}
+
+/// The byte length of the White_Space char starting at byte `i` of `text`,
+/// or 0 when none does. In ASCII those are `\t` to `\r` and the space
+/// (`u8::is_ascii_whitespace` leaves out the vertical tab). Outside ASCII
+/// only the lead bytes `0xC2` (U+0085, U+00A0), `0xE1` (U+1680), `0xE2`
+/// (U+2000–U+200A, U+2028, U+2029, U+202F, U+205F, and non-space chars
+/// such as the em dash) and `0xE3` (U+3000) can start one, so only those
+/// are decoded.
+fn space_len(text: &str, i: usize) -> usize {
+    match text.as_bytes()[i] {
+        b if b.is_ascii() => usize::from(matches!(b, b'\t'..=b'\r' | b' ')),
+        0xC2 | 0xE1..=0xE3 => match text[i..].chars().next() {
+            Some(c) if c.is_whitespace() => c.len_utf8(),
+            _ => 0,
+        },
+        _ => 0,
+    }
+}
+
+/// The position in [`Language::NON_ENGLISH`] of the language whose marker
+/// ends `word`, ignoring ASCII case. `b | 0x20` equals a lowercase ASCII
+/// letter exactly when `b` is that letter in either case, so folding each
+/// byte that way compares like `eq_ignore_ascii_case` against markers made
+/// of letters. No marker is a suffix of another, so at most one matches.
+fn marker_slot(word: &[u8]) -> Option<usize> {
+    let n = word.len();
+    let fold = |back: usize| word[n - back] | 0x20;
+    if n >= 4 && fold(4) == b'x' {
+        let slot = match &[fold(3), fold(2), fold(1)] {
+            b"vex" => Some(1),
+            b"nav" => Some(3),
+            b"ost" => Some(5),
+            b"mel" => Some(6),
+            b"tar" => Some(7),
+            _ => None,
+        };
+        if slot.is_some() {
+            return slot;
+        }
+    }
+    if n >= 3 && fold(3) == b'x' {
+        return match &[fold(2), fold(1)] {
+            b"zo" => Some(0),
+            b"qu" => Some(2),
+            b"ki" => Some(4),
+            _ => None,
+        };
+    }
+    None
 }
 
 /// A simulated machine translator: detects the language, strips its marker,
@@ -147,13 +238,15 @@ impl Translator {
     }
 
     /// Translate text to English. English input passes through unchanged
-    /// (and without loss — the translator is only invoked on foreign text
-    /// in the pipeline, but being idempotent on English is safer).
+    /// and without loss; the ML detectors and Zvelo translate every
+    /// scraped page, English or not.
     ///
-    /// Foreign text is written word by word into one output buffer. A
-    /// lossy translator draws one loss decision per `' '`-separated word
-    /// of each line, empty words included, and a lost word takes its
-    /// separating space with it.
+    /// Foreign text is written word by word into one output buffer. Words
+    /// are split on the ASCII bytes `b'\n'` and `b' '`, so a byte search
+    /// finds them exactly; ASCII words are trimmed and stripped by bytes,
+    /// other words by `push_stripped`. A lossy translator draws one loss
+    /// decision per `' '`-separated word of each line, empty words
+    /// included, and a lost word takes its separating space with it.
     pub fn translate(&self, text: &str) -> String {
         let lang = Language::detect(text);
         if lang == Language::English {
@@ -165,22 +258,44 @@ impl Translator {
                 .derive_index("translate", text.len() as u64)
                 .value(),
         );
+        let lossy = self.loss_rate > 0.0;
+        let bytes = text.as_bytes();
         let mut out = String::with_capacity(text.len());
-        for (i, line) in text.split('\n').enumerate() {
-            if i > 0 {
-                out.push('\n');
+        // Whether the current line has no kept word yet.
+        let mut first = true;
+        let mut start = 0;
+        loop {
+            let mut end = start;
+            let mut ascii = true;
+            loop {
+                end = next_unusual(bytes, end);
+                match bytes.get(end) {
+                    None | Some(b' ' | b'\n') => break,
+                    Some(b) => ascii &= b.is_ascii(),
+                }
+                end += 1;
             }
-            let mut first = true;
-            for word in line.split(' ') {
-                if self.loss_rate > 0.0 && rng.random_bool(self.loss_rate) {
-                    continue;
-                }
-                if !first {
-                    out.push(' ');
-                }
+            if !(lossy && rng.random_bool(self.loss_rate)) {
+                // Past the line's first kept word the byte before this
+                // word is its separating space: copy the two together.
+                let from = if first { start } else { start - 1 };
                 first = false;
-                push_stripped(&mut out, word, marker);
+                if ascii {
+                    push_stripped_ascii(&mut out, &text[from..end], marker);
+                } else {
+                    out.push_str(&text[from..start]);
+                    push_stripped(&mut out, &text[start..end], marker);
+                }
             }
+            match bytes.get(end) {
+                None => break,
+                Some(b'\n') => {
+                    out.push('\n');
+                    first = true;
+                }
+                Some(_) => {}
+            }
+            start = end + 1;
         }
         out
     }
@@ -190,6 +305,24 @@ impl Translator {
 /// case.
 fn ends_with_ignore_ascii_case(word: &[u8], marker: &[u8]) -> bool {
     word.len() >= marker.len() && word[word.len() - marker.len()..].eq_ignore_ascii_case(marker)
+}
+
+/// [`push_stripped`] for an ASCII `word`, by bytes: its core ends at the
+/// last ASCII alphanumeric byte. `word` may start with its separating
+/// space, which no marker contains.
+fn push_stripped_ascii(out: &mut String, word: &str, marker: &str) {
+    let bytes = word.as_bytes();
+    let core = bytes
+        .iter()
+        .rposition(u8::is_ascii_alphanumeric)
+        .map_or(0, |p| p + 1);
+    let cut = if ends_with_ignore_ascii_case(&bytes[..core], marker.as_bytes()) {
+        core - marker.len()
+    } else {
+        core
+    };
+    out.push_str(&word[..cut]);
+    out.push_str(&word[core..]);
 }
 
 /// Append `word` with its language marker stripped, preserving trailing
@@ -299,6 +432,20 @@ mod tests {
             tr.translate("FIBERXZO netxzo, \u{e9}t\u{e9}xzo  webxzo\n\nhostxzo!"),
             "FIBER net, \u{e9}t\u{e9}  web\n\nhost!"
         );
+    }
+
+    #[test]
+    fn marker_slot_maps_each_marker_to_its_language() {
+        for (slot, lang) in Language::NON_ENGLISH.into_iter().enumerate() {
+            let marker = lang.marker();
+            assert_eq!(marker_slot(marker.as_bytes()), Some(slot), "{lang:?}");
+            let word = lang.mangle_word("Word").to_uppercase();
+            assert_eq!(marker_slot(word.as_bytes()), Some(slot), "{lang:?}");
+            assert_eq!(marker_slot(&marker.as_bytes()[1..]), None, "{lang:?}");
+        }
+        // A four-byte tail that is no marker still leaves the three-byte one.
+        assert_eq!(marker_slot(b"xxzo"), Some(0));
+        assert_eq!(marker_slot(b"xzo!"), None);
     }
 
     #[test]

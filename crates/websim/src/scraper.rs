@@ -48,9 +48,9 @@ pub struct ScrapeResult {
 }
 
 impl ScrapeResult {
-    /// Whether any meaningful text came back.
+    /// Whether any meaningful text came back: at least ten words.
     pub fn is_substantive(&self) -> bool {
-        self.text.split_whitespace().count() >= 10
+        self.text.split_whitespace().nth(9).is_some()
     }
 }
 
@@ -116,6 +116,7 @@ mod tests {
     use crate::site::{SiteQuirks, SiteSpec, Website};
     use asdb_model::WorldSeed;
     use asdb_taxonomy::naicslite::known;
+    use std::borrow::Cow;
 
     fn hosted(quirks: SiteQuirks) -> (SimWeb, Domain) {
         let domain = Domain::new("scrapeme.example").unwrap();
@@ -194,7 +195,7 @@ mod tests {
     fn internal_fetch_failures_are_skipped() {
         struct Flaky;
         impl Fetcher for Flaky {
-            fn fetch(&self, url: &Url) -> Result<Fetched, FetchError> {
+            fn fetch(&self, url: &Url) -> Result<Fetched<'_>, FetchError> {
                 if url.path == "/" {
                     let page = Page {
                         title: "Root".into(),
@@ -212,17 +213,19 @@ mod tests {
                         ..Page::default()
                     };
                     Ok(Fetched {
-                        markup: page.render(),
+                        markup: Cow::Owned(page.render()),
                         latency: Duration::from_millis(10),
                     })
                 } else if url.path == "/services" {
                     Ok(Fetched {
-                        markup: Page {
-                            title: "Services".into(),
-                            paragraphs: vec!["service text".into()],
-                            ..Page::default()
-                        }
-                        .render(),
+                        markup: Cow::Owned(
+                            Page {
+                                title: "Services".into(),
+                                paragraphs: vec!["service text".into()],
+                                ..Page::default()
+                            }
+                            .render(),
+                        ),
                         latency: Duration::from_millis(10),
                     })
                 } else {
@@ -244,7 +247,7 @@ mod tests {
     fn external_links_not_followed() {
         struct External;
         impl Fetcher for External {
-            fn fetch(&self, url: &Url) -> Result<Fetched, FetchError> {
+            fn fetch(&self, url: &Url) -> Result<Fetched<'_>, FetchError> {
                 assert_eq!(url.host.as_str(), "self.example", "left the site!");
                 let page = Page {
                     title: "Root".into(),
@@ -255,7 +258,7 @@ mod tests {
                     ..Page::default()
                 };
                 Ok(Fetched {
-                    markup: page.render(),
+                    markup: Cow::Owned(page.render()),
                     latency: Duration::from_millis(1),
                 })
             }

@@ -8,15 +8,24 @@
 //! the ML, Zvelo and lossless translators, and on random mangled texts
 //! wherever the oracle returns at all: the oracle slices non-ASCII words at
 //! a byte offset and panics when that offset falls inside a char.
+//!
+//! `Language::detect` splits words byte by byte and probes each word once;
+//! it is pinned to the oracle's `split_whitespace` and eight-marker compare
+//! on those pages and on random texts that mix languages in chosen
+//! proportions (ties, the half-the-words threshold) and every White_Space
+//! char. `ScrapeResult::is_substantive`, which stops at the tenth word, is
+//! pinned to counting all of them on the same texts.
 
 use asdb_model::WorldSeed;
-use asdb_websim::scraper::{scrape, ScrapeConfig};
+use asdb_websim::scraper::{scrape, ScrapeConfig, ScrapeResult};
 use asdb_websim::{Language, Translator};
 use asdb_worldgen::{World, WorldConfig};
 use rand::check::{self, any_string, class_string, vec_of};
 use rand::rngs::StdRng;
+use rand::seq::SliceRandom;
 use rand::RngExt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::time::Duration;
 
 /// The replaced translator: per-word `String`s joined per line, a marker
 /// list built per detection, and a case-tolerant strip at a byte offset.
@@ -35,7 +44,8 @@ mod oracle {
         word.len() >= marker.len() && word[word.len() - marker.len()..].eq_ignore_ascii_case(marker)
     }
 
-    pub fn detect(text: &str) -> Language {
+    /// Per language, the words its marker ends; and the number of words.
+    pub fn marker_counts(text: &str) -> ([usize; 8], usize) {
         let markers = Language::NON_ENGLISH.map(marker);
         let mut counts = [0usize; 8];
         let mut words = 0usize;
@@ -54,6 +64,11 @@ mod oracle {
                 }
             }
         }
+        (counts, words)
+    }
+
+    pub fn detect(text: &str) -> Language {
+        let (counts, words) = marker_counts(text);
         if words == 0 {
             return Language::English;
         }
@@ -229,4 +244,126 @@ fn translate_matches_oracle_wherever_it_returns() {
     // The draws reach both the common case and the oracle's panic.
     assert!(returned > 3_000, "oracle returned on {returned} texts");
     assert!(panicked > 0, "no draw hit a mid-char cut");
+}
+
+/// Every White_Space char: what `char::is_whitespace` and so
+/// `split_whitespace` split on.
+const WHITE_SPACE: &[char] = &[
+    '\t', '\n', '\u{B}', '\u{C}', '\r', ' ', '\u{85}', '\u{A0}', '\u{1680}', '\u{2000}',
+    '\u{2001}', '\u{2002}', '\u{2003}', '\u{2004}', '\u{2005}', '\u{2006}', '\u{2007}', '\u{2008}',
+    '\u{2009}', '\u{200A}', '\u{2028}', '\u{2029}', '\u{202F}', '\u{205F}', '\u{3000}',
+];
+
+/// Word chars that are not White_Space but look close to it: ASCII
+/// controls and separators outside White_Space, chars sharing a lead byte
+/// with a White_Space char (`0xC2`: `\u{84}` `¡`; `0xE1`: `\u{1681}`;
+/// `0xE2`: the em dash, `€`, the zero-width space `\u{200B}`, `\u{2027}`,
+/// `\u{2060}`; `0xE3`: `、`), other non-ASCII letters and `x`/`X`.
+const NEAR_SPACE: &[char] = &[
+    '\0', '\u{1C}', '\u{1F}', '!', '-', '\u{84}', '\u{A1}', '\u{1681}', '\u{2014}', '\u{20AC}',
+    '\u{200B}', '\u{2027}', '\u{2060}', '\u{3001}', '\u{E9}', '\u{3A3}', '\u{212A}', 'x', 'X',
+];
+
+/// One word of [`arb_mixed_text`]: a stem (lowercase, capitalized,
+/// non-ASCII or built from [`NEAR_SPACE`]) carrying `lang`'s marker in any
+/// case, with the Kelvin sign standing in for `k`, or no marker.
+fn arb_mixed_word(rng: &mut StdRng, lang: Option<Language>) -> String {
+    let stem = match rng.random_range(0..5) {
+        0 => class_string(rng, "a-z", 1..=6),
+        1 => class_string(rng, "A-Z", 1..=4),
+        2 => class_string(rng, "a-z\u{E9}\u{DF}\u{2014}\u{20AC}", 1..=4),
+        _ => (0..rng.random_range(1..=3))
+            .map(|_| NEAR_SPACE[rng.random_range(0..NEAR_SPACE.len())])
+            .collect(),
+    };
+    let Some(lang) = lang else {
+        return stem;
+    };
+    let marked = lang.mangle_word(&stem);
+    match rng.random_range(0..4) {
+        0 => marked.to_uppercase(),
+        1 => marked.replace('k', "\u{212A}"),
+        _ => marked,
+    }
+}
+
+/// A text mixing up to three languages' marked words in chosen numbers
+/// with unmarked words, so that ties between languages and exactly half
+/// the words marked both come up, joined by runs of any White_Space chars.
+fn arb_mixed_text(rng: &mut StdRng) -> String {
+    let base: usize = rng.random_range(0..6);
+    let mut words = Vec::new();
+    let mut most = 0;
+    for _ in 0..rng.random_range(1..=3) {
+        let lang = Language::NON_ENGLISH[rng.random_range(0..8)];
+        let n = base + rng.random_range(0..2);
+        most = most.max(n);
+        words.extend((0..n).map(|_| arb_mixed_word(rng, Some(lang))));
+    }
+    // Unmarked words: none, exactly enough that the commonest marker ends
+    // half the words when it is alone, or a random number.
+    let unmarked = match rng.random_range(0..3) {
+        0 => 0,
+        1 => (2 * most).saturating_sub(words.len()),
+        _ => rng.random_range(0..12),
+    };
+    words.extend((0..unmarked).map(|_| arb_mixed_word(rng, None)));
+    words.shuffle(rng);
+    let space = |rng: &mut StdRng| -> String {
+        (0..rng.random_range(1..=2))
+            .map(|_| WHITE_SPACE[rng.random_range(0..WHITE_SPACE.len())])
+            .collect()
+    };
+    let mut text = if rng.random_bool(0.2) {
+        space(rng)
+    } else {
+        String::new()
+    };
+    for (i, word) in words.iter().enumerate() {
+        if i > 0 {
+            text.push_str(&space(rng));
+        }
+        text.push_str(word);
+    }
+    if rng.random_bool(0.2) {
+        text.push_str(&space(rng));
+    }
+    text
+}
+
+#[test]
+fn detect_matches_oracle_on_mixed_languages_and_every_white_space() {
+    let (mut ties, mut halves, mut foreign, mut english) = (0usize, 0usize, 0usize, 0usize);
+    let mut substantive = [0usize; 2];
+    check::cases(4_096, arb_mixed_text, |text| {
+        let got = Language::detect(&text);
+        assert_eq!(got, oracle::detect(&text), "{text:?}");
+        let (counts, words) = oracle::marker_counts(&text);
+        let most = counts.iter().copied().max().unwrap_or(0);
+        ties += usize::from(most > 0 && counts.iter().filter(|&&c| c == most).count() > 1);
+        halves += usize::from(words > 0 && most * 2 == words);
+        foreign += usize::from(got != Language::English);
+        english += usize::from(got == Language::English);
+
+        let page = ScrapeResult {
+            text: text.clone(),
+            visited: vec!["/".to_owned()],
+            duration: Duration::ZERO,
+        };
+        let want = text.split_whitespace().count() >= 10;
+        assert_eq!(page.is_substantive(), want, "{text:?}");
+        substantive[usize::from(want)] += 1;
+    });
+    // The draws reach ties, the threshold's boundary, both outcomes, and
+    // both sides of the ten-word rule.
+    assert!(ties > 200, "{ties} ties");
+    assert!(halves > 200, "{halves} texts at exactly half");
+    assert!(
+        foreign > 500 && english > 500,
+        "{foreign} foreign, {english} English"
+    );
+    assert!(
+        substantive.iter().all(|&n| n > 500),
+        "substantive {substantive:?}"
+    );
 }
