@@ -13,6 +13,7 @@ use asdb_taxonomy::{Category, CategorySet, Layer1};
 use asdb_websim::SimWeb;
 use asdb_worldgen::World;
 use std::collections::{BTreeSet, HashMap};
+use std::sync::Arc;
 
 /// Which pipeline mechanism produced the final label — the rows of
 /// Table 8.
@@ -146,7 +147,7 @@ pub struct AsdbSystem {
     pub ml: MlClassifiers,
     /// Feature switches (default: everything on).
     pub options: PipelineOptions,
-    web: SimWeb,
+    web: Arc<SimWeb>,
     domain_counts: HashMap<Domain, usize>,
     cache: OrgCache,
     metrics: PipelineMetrics,
@@ -175,7 +176,7 @@ impl AsdbSystem {
             sources,
             ml,
             options: PipelineOptions::default(),
-            web: world.web.clone(),
+            web: Arc::clone(&world.web),
             domain_counts,
             cache,
             metrics,
@@ -533,6 +534,16 @@ mod tests {
         let w = World::generate(WorldConfig::standard(WorldSeed::new(2021)));
         let s = AsdbSystem::build(&w, WorldSeed::new(1));
         (w, s)
+    }
+
+    #[test]
+    fn system_and_zvelo_share_the_worlds_web() {
+        let w = World::generate(WorldConfig::small(WorldSeed::new(3)));
+        let s = AsdbSystem::build(&w, WorldSeed::new(1));
+        assert!(Arc::ptr_eq(&w.web, &s.web));
+        assert!(std::ptr::eq(s.sources.zvelo.web(), Arc::as_ptr(&w.web)));
+        // The world, the system and Zvelo: one web, three handles.
+        assert_eq!(Arc::strong_count(&w.web), 3);
     }
 
     #[test]

@@ -33,11 +33,14 @@ use rand::rngs::StdRng;
 use rand::seq::IndexedRandom;
 use rand::{RngExt, SeedableRng};
 use std::collections::{BTreeMap, HashMap};
+use std::sync::Arc;
 
 /// The simulated Zvelo service.
 #[derive(Debug, Clone)]
 pub struct Zvelo {
-    web: SimWeb,
+    /// The world's web, shared: Zvelo fetches each site itself (§3.5)
+    /// without owning a copy of the pages.
+    web: Arc<SimWeb>,
     org_domain: HashMap<OrgId, Domain>,
     scrape_config: ScrapeConfig,
     translator: Translator,
@@ -60,7 +63,7 @@ impl Zvelo {
             .collect();
         let labels: Vec<_> = ZVELO.categories.iter().map(label).collect();
         Zvelo {
-            web: world.web.clone(),
+            web: Arc::clone(&world.web),
             org_domain,
             scrape_config: ScrapeConfig::default(),
             translator: Translator::new(0.03, seed.derive("zvelo-mt")),
@@ -71,6 +74,11 @@ impl Zvelo {
             parked: label(ZVELO.category("Parked Domains").expect("scheme has it")),
             map_seed: seed.derive("zvelo").derive("map"),
         }
+    }
+
+    /// The simulated web Zvelo scrapes: the world's own, shared.
+    pub fn web(&self) -> &SimWeb {
+        &self.web
     }
 
     /// Classify a domain's website content. `None` when the site is

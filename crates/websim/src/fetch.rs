@@ -12,6 +12,7 @@ use asdb_model::{Domain, Url, WorldSeed};
 use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::fmt;
+use std::sync::Arc;
 use std::time::Duration;
 
 /// Why a fetch failed.
@@ -53,9 +54,20 @@ pub trait Fetcher {
     fn fetch(&self, url: &Url) -> Result<Fetched<'_>, FetchError>;
 }
 
+/// A shared fetcher fetches through what it points at, so one
+/// `Arc<SimWeb>` serves every holder without a copy of the pages.
+impl<F: Fetcher + ?Sized> Fetcher for Arc<F> {
+    fn fetch(&self, url: &Url) -> Result<Fetched<'_>, FetchError> {
+        (**self).fetch(url)
+    }
+}
+
 /// The simulated web: a registry of generated websites plus a set of
 /// registered-but-unreachable hosts.
-#[derive(Debug, Clone, Default)]
+///
+/// Not `Clone`: a world's web is built once and shared behind an `Arc` by
+/// everything that scrapes it.
+#[derive(Debug, Default)]
 pub struct SimWeb {
     sites: BTreeMap<Domain, Website>,
     unreachable: BTreeMap<Domain, ()>,

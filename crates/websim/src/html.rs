@@ -61,8 +61,10 @@ impl Page {
     }
 
     /// Render to markup, escaping `&`, `<`, `>` and `"` in every field.
+    /// The buffer is sized exactly, so a hosted page holds no spare
+    /// capacity.
     pub fn render(&self) -> String {
-        let mut out = String::new();
+        let mut out = String::with_capacity(self.rendered_len());
         out.push_str("<html><head><title>");
         push_escaped(&mut out, &self.title);
         out.push_str("</title></head><body>");
@@ -92,6 +94,29 @@ impl Page {
         }
         out.push_str("</body></html>");
         out
+    }
+
+    /// The byte length of [`Page::render`]'s output: the fixed tags plus
+    /// every field's escaped length.
+    fn rendered_len(&self) -> usize {
+        const FRAME: usize = "<html><head><title></title></head><body></body></html>".len();
+        const HEADING: usize = "<h1></h1>".len();
+        const PARAGRAPH: usize = "<p></p>".len();
+        const LINK: usize = "<a href=\"\"></a>".len();
+        const IMAGE: usize = "<img data-baked=\"\"/>".len();
+        let fields = |items: &[String], tags: usize| {
+            items.iter().map(|s| tags + escaped_len(s)).sum::<usize>()
+        };
+        FRAME
+            + escaped_len(&self.title)
+            + fields(&self.headings, HEADING)
+            + fields(&self.paragraphs, PARAGRAPH)
+            + self
+                .links
+                .iter()
+                .map(|l| LINK + escaped_len(&l.href) + escaped_len(&l.text))
+                .sum::<usize>()
+            + fields(&self.image_text, IMAGE)
     }
 
     /// Parse markup produced by [`Page::render`] (or anything structurally
@@ -170,17 +195,40 @@ fn attr_value<'a>(attrs: &'a str, name: &str) -> Option<&'a str> {
     Some(&after[..end])
 }
 
-/// Append `s` to `out` with `&`, `<`, `>` and `"` escaped.
+/// The entity a byte is escaped to, for the four escaped ASCII bytes. A
+/// UTF-8 multi-byte char never contains an ASCII byte, so a byte scan
+/// finds exactly the chars to escape.
+fn entity(b: u8) -> Option<&'static str> {
+    match b {
+        b'&' => Some("&amp;"),
+        b'<' => Some("&lt;"),
+        b'>' => Some("&gt;"),
+        b'"' => Some("&quot;"),
+        _ => None,
+    }
+}
+
+/// The length of `s` once escaped: each escaped byte becomes its entity.
+fn escaped_len(s: &str) -> usize {
+    s.len()
+        + s.bytes()
+            .filter_map(entity)
+            .map(|e| e.len() - 1)
+            .sum::<usize>()
+}
+
+/// Append `s` to `out` with `&`, `<`, `>` and `"` escaped, copying the
+/// runs between escaped bytes whole.
 fn push_escaped(out: &mut String, s: &str) {
-    for c in s.chars() {
-        match c {
-            '&' => out.push_str("&amp;"),
-            '<' => out.push_str("&lt;"),
-            '>' => out.push_str("&gt;"),
-            '"' => out.push_str("&quot;"),
-            _ => out.push(c),
+    let mut run = 0;
+    for (i, b) in s.bytes().enumerate() {
+        if let Some(e) = entity(b) {
+            out.push_str(&s[run..i]);
+            out.push_str(e);
+            run = i + 1;
         }
     }
+    out.push_str(&s[run..]);
 }
 
 /// Undo [`push_escaped`]. Text without an `&` is copied as is.

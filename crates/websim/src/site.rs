@@ -157,7 +157,7 @@ impl Website {
                     ..Page::default()
                 }
             };
-            pages.insert((*path).to_owned(), render_in_language(&body, spec.language));
+            pages.insert((*path).to_owned(), render_in_language(body, spec.language));
         }
         // An uninformative decoy link (privacy policy) is always present.
         home.links.push(Link {
@@ -167,7 +167,7 @@ impl Website {
         pages.insert(
             "/privacy".to_owned(),
             render_in_language(
-                &Page {
+                Page {
                     title: format!("Privacy policy | {}", spec.org_name),
                     paragraphs: vec!["We respect your privacy and protect your data.".into()],
                     ..Page::default()
@@ -175,7 +175,7 @@ impl Website {
                 spec.language,
             ),
         );
-        pages.insert("/".to_owned(), render_in_language(&home, spec.language));
+        pages.insert("/".to_owned(), render_in_language(home, spec.language));
         Website {
             domain: spec.domain.clone(),
             pages,
@@ -191,25 +191,20 @@ impl Website {
 /// Translate page text into the site language. The org name (title) is kept
 /// as-is — brand names don't translate — so domain matching still works on
 /// foreign sites.
-fn render_in_language(page: &Page, language: Language) -> String {
-    if language == Language::English {
-        return page.render();
+fn render_in_language(mut page: Page, language: Language) -> String {
+    if language != Language::English {
+        for text in page
+            .headings
+            .iter_mut()
+            .chain(&mut page.paragraphs)
+            .chain(&mut page.image_text)
+        {
+            *text = language.mangle_text(text);
+        }
     }
-    let mut p = page.clone();
-    p.headings = p.headings.iter().map(|h| language.mangle_text(h)).collect();
-    p.paragraphs = p
-        .paragraphs
-        .iter()
-        .map(|t| language.mangle_text(t))
-        .collect();
-    p.image_text = p
-        .image_text
-        .iter()
-        .map(|t| language.mangle_text(t))
-        .collect();
     // Anchor texts stay in English-ish navigation (common on real sites,
     // and what keeps cross-language scraping plausible).
-    p.render()
+    page.render()
 }
 
 fn tagline(rng: &mut StdRng, words: &[&str]) -> String {

@@ -3,11 +3,12 @@
 //! oracle.
 //!
 //! The parser reads each element's text in place up to the next `<` and
-//! borrows attribute values; the renderer escapes char by char into one
+//! borrows attribute values; the renderer escapes into one exactly sized
 //! buffer. These tests pin that both give the oracle's output on every page
 //! of three standard worlds, on random markup built from the fragments the
 //! close-tag and attribute rules care about, and on random pages whose
-//! every field holds the escaped characters.
+//! every field holds the escaped characters. Every rendered page, hosted or
+//! re-rendered, has no spare capacity.
 
 use asdb_model::WorldSeed;
 use asdb_websim::html::Link;
@@ -154,11 +155,15 @@ fn parse_and_render_match_oracle_on_standard_worlds() {
                 continue;
             };
             for (path, markup) in &site.pages {
+                // The hosted page was rendered into an exactly sized buffer.
+                assert_eq!(markup.capacity(), markup.len(), "seed {s}, {domain}{path}");
                 let page = Page::parse(markup);
                 assert_eq!(page, oracle::parse(markup), "seed {s}, {domain}{path}");
+                let rendered = page.render();
+                assert_eq!(rendered, oracle::render(&page), "seed {s}, {domain}{path}");
                 assert_eq!(
-                    page.render(),
-                    oracle::render(&page),
+                    rendered.capacity(),
+                    rendered.len(),
                     "seed {s}, {domain}{path}"
                 );
                 assert_eq!(page.visible_text(), oracle::visible_text(&page));
@@ -304,6 +309,7 @@ fn render_matches_oracle_on_random_pages() {
     check::cases(4_096, arb_page, |page| {
         let markup = page.render();
         assert_eq!(markup, oracle::render(&page));
+        assert_eq!(markup.capacity(), markup.len());
         assert_eq!(Page::parse(&markup), oracle::parse(&markup));
         assert_eq!(page.visible_text(), oracle::visible_text(&page));
     });

@@ -14,6 +14,7 @@ use rand::rngs::StdRng;
 use rand::seq::IndexedRandom;
 use rand::{RngExt, SeedableRng};
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// Shared NOC/contact-service domains that appear in the WHOIS of *many*
 /// unrelated ASes — the reason §5.1's step 3 filters out "domains that
@@ -34,8 +35,9 @@ pub struct World {
     pub orgs: Vec<Organization>,
     /// All AS registrations.
     pub ases: Vec<AsRecord>,
-    /// The simulated web hosting every live site.
-    pub web: SimWeb,
+    /// The simulated web hosting every live site, built once and shared
+    /// with everything that scrapes it (`Arc::clone`, never a deep copy).
+    pub web: Arc<SimWeb>,
     asn_index: HashMap<Asn, usize>,
     org_index: HashMap<OrgId, usize>,
     domain_as_count: HashMap<Domain, usize>,
@@ -130,7 +132,7 @@ impl World {
             config,
             orgs,
             ases,
-            web,
+            web: Arc::new(web),
             asn_index,
             org_index,
             domain_as_count,
