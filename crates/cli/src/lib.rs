@@ -9,48 +9,11 @@
 #![warn(missing_docs)]
 
 use asdb_core::batch::{classify_batch_cached_with, BatchConfig};
-use asdb_core::{dataset, AsdbSystem, FanoutConfig};
+use asdb_core::{dataset, AsdbSystem};
 use asdb_model::{Asn, WorldSeed};
-use asdb_sources::transport::FaultPlan;
 use asdb_worldgen::{World, WorldConfig};
 use std::fmt;
 use std::str::FromStr;
-use std::time::Duration;
-
-/// Source-transport tuning flags shared by the classify-style commands.
-/// All `None` (no flags given) keeps the system's default transparent
-/// transport.
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub struct TransportFlags {
-    /// `--fault-rate R`: injected fault probability per source call
-    /// (split evenly between errors and timeouts).
-    pub fault_rate: Option<f64>,
-    /// `--source-timeout-ms N`: per-attempt source deadline.
-    pub source_timeout_ms: Option<u64>,
-    /// `--retries N`: retries after the first attempt.
-    pub retries: Option<u32>,
-}
-
-impl TransportFlags {
-    /// The fan-out config these flags select, or `None` when no flag was
-    /// given (leave the system's default transport untouched).
-    pub fn fanout_config(&self) -> Option<FanoutConfig> {
-        if *self == TransportFlags::default() {
-            return None;
-        }
-        let mut cfg = FanoutConfig::default();
-        if let Some(r) = self.fault_rate {
-            cfg.faults = FaultPlan::uniform(r);
-        }
-        if let Some(ms) = self.source_timeout_ms {
-            cfg.transport.timeout = Duration::from_millis(ms.max(1));
-        }
-        if let Some(n) = self.retries {
-            cfg.transport.max_retries = n;
-        }
-        Some(cfg)
-    }
-}
 
 /// World scale selector.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -96,9 +59,8 @@ pub enum Command {
         threads: usize,
         /// Optional path to dump the telemetry snapshot (JSON).
         metrics_out: Option<String>,
-        /// Source-transport tuning (`--fault-rate`, `--source-timeout-ms`,
-        /// `--retries`).
-        transport: TransportFlags,
+        /// `--fault-rate R`: injected fault probability per source attempt.
+        fault_rate: f64,
     },
     /// `asdb lookup` — classify one AS and explain every pipeline step.
     Lookup {
@@ -110,8 +72,8 @@ pub enum Command {
         asn: Asn,
         /// Optional path to dump the telemetry snapshot (JSON).
         metrics_out: Option<String>,
-        /// Source-transport tuning.
-        transport: TransportFlags,
+        /// `--fault-rate R`: injected fault probability per source attempt.
+        fault_rate: f64,
     },
     /// `asdb metrics` — classify a world and print the full telemetry
     /// report (stage counters, source hit rates, cache reuse, latency).
@@ -124,8 +86,8 @@ pub enum Command {
         threads: usize,
         /// Optional path to dump the telemetry snapshot (JSON).
         metrics_out: Option<String>,
-        /// Source-transport tuning.
-        transport: TransportFlags,
+        /// `--fault-rate R`: injected fault probability per source attempt.
+        fault_rate: f64,
     },
     /// `asdb report` — regenerate the paper's tables and figures.
     Report {
@@ -158,12 +120,12 @@ USAGE:
   asdb generate [--scale small|standard] [--seed N] [--whois-out FILE]
   asdb classify [--scale small|standard] [--seed N] [--asn N]... [--out FILE] [--threads N]
                 [--metrics FILE]
-                [--fault-rate R] [--source-timeout-ms N] [--retries N]
+                [--fault-rate R]
   asdb lookup   --asn N [--scale small|standard] [--seed N] [--metrics FILE]
-                [--fault-rate R] [--source-timeout-ms N] [--retries N]
+                [--fault-rate R]
   asdb metrics  [--scale small|standard] [--seed N] [--threads N]
                 [--metrics FILE]
-                [--fault-rate R] [--source-timeout-ms N] [--retries N]
+                [--fault-rate R]
   asdb report   [--scale small|standard] [--seed N]
   asdb help
 
@@ -178,13 +140,14 @@ chunk/steal counts, and latency histograms. On classify-style commands,
 --metrics FILE writes the same data as a JSON registry snapshot after the
 run.
 
-Source transport: --fault-rate R injects deterministic, seed-reproducible
-network faults into every source call (R in [0,1], split evenly between
-errors and timeouts; per-source timeout/retry/breaker counters and the
-degraded-source record show the effect); --source-timeout-ms N sets the
-per-attempt source deadline and --retries N the retry budget after the
-first attempt. Without these flags the transport is transparent: every
-source answers as a direct search would.
+Source transport: --fault-rate R makes each source attempt fault with
+probability R (R in [0,1], split evenly between errors and timeouts). A
+faulted attempt is retried up to twice; a source whose three attempts all
+fault is left out of the consensus and listed as degraded. Faults are drawn
+from the seed, the source, the AS and the attempt, so they replay exactly.
+The per-source timeout/failure/retry counters show the effect. Without the
+flag the transport is transparent: every source answers as a direct search
+would.
 ";
 
 impl Command {
@@ -200,7 +163,7 @@ impl Command {
         let mut metrics_out: Option<String> = None;
         let mut asns: Vec<Asn> = Vec::new();
         let mut threads = 4usize;
-        let mut transport = TransportFlags::default();
+        let mut fault_rate = 0.0;
 
         let mut i = 0;
         let value = |i: &mut usize, flag: &str| -> Result<String, CliError> {
@@ -254,21 +217,7 @@ impl Command {
                             "fault rate {r} out of range; use 0.0..=1.0"
                         )));
                     }
-                    transport.fault_rate = Some(r);
-                }
-                "--source-timeout-ms" => {
-                    let v = value(&mut i, "--source-timeout-ms")?;
-                    let ms = v
-                        .parse::<u64>()
-                        .map_err(|_| CliError(format!("invalid timeout {v:?}")))?;
-                    transport.source_timeout_ms = Some(ms.max(1));
-                }
-                "--retries" => {
-                    let v = value(&mut i, "--retries")?;
-                    transport.retries = Some(
-                        v.parse::<u32>()
-                            .map_err(|_| CliError(format!("invalid retry count {v:?}")))?,
-                    );
+                    fault_rate = r;
                 }
                 other => return Err(CliError(format!("unknown flag {other:?}"))),
             }
@@ -288,7 +237,7 @@ impl Command {
                 out,
                 threads,
                 metrics_out,
-                transport,
+                fault_rate,
             }),
             "lookup" => {
                 let asn = *asns
@@ -299,7 +248,7 @@ impl Command {
                     seed,
                     asn,
                     metrics_out,
-                    transport,
+                    fault_rate,
                 })
             }
             "metrics" => Ok(Command::Metrics {
@@ -307,7 +256,7 @@ impl Command {
                 seed,
                 threads,
                 metrics_out,
-                transport,
+                fault_rate,
             }),
             "report" => Ok(Command::Report { scale, seed }),
             "help" | "--help" | "-h" => Ok(Command::Help),
@@ -367,14 +316,11 @@ pub fn run(cmd: Command, out: &mut dyn std::io::Write) -> std::io::Result<i32> {
             out: out_path,
             threads,
             metrics_out,
-            transport,
+            fault_rate,
         } => {
             let seed = WorldSeed::new(seed);
             let world = World::generate(scale.config(seed));
-            let mut system = AsdbSystem::build(&world, seed.derive("cli"));
-            if let Some(cfg) = transport.fanout_config() {
-                system = system.with_transport(cfg);
-            }
+            let system = AsdbSystem::build(&world, seed.derive("cli")).with_fault_rate(fault_rate);
             let records: Vec<_> = if asns.is_empty() {
                 world.ases.iter().map(|r| r.parsed.clone()).collect()
             } else {
@@ -429,7 +375,7 @@ pub fn run(cmd: Command, out: &mut dyn std::io::Write) -> std::io::Result<i32> {
             seed,
             asn,
             metrics_out,
-            transport,
+            fault_rate,
         } => {
             let seed = WorldSeed::new(seed);
             let world = World::generate(scale.config(seed));
@@ -437,10 +383,7 @@ pub fn run(cmd: Command, out: &mut dyn std::io::Write) -> std::io::Result<i32> {
                 writeln!(out, "error: {asn} is not registered in this world")?;
                 return Ok(2);
             };
-            let mut system = AsdbSystem::build(&world, seed.derive("cli"));
-            if let Some(cfg) = transport.fanout_config() {
-                system = system.with_transport(cfg);
-            }
+            let system = AsdbSystem::build(&world, seed.derive("cli")).with_fault_rate(fault_rate);
             let c = system.classify(&rec.parsed);
             writeln!(out, "{asn} @ {}", rec.rir)?;
             writeln!(out, "  WHOIS name : {}", rec.parsed.name)?;
@@ -496,14 +439,11 @@ pub fn run(cmd: Command, out: &mut dyn std::io::Write) -> std::io::Result<i32> {
             seed,
             threads,
             metrics_out,
-            transport,
+            fault_rate,
         } => {
             let seed = WorldSeed::new(seed);
             let world = World::generate(scale.config(seed));
-            let mut system = AsdbSystem::build(&world, seed.derive("cli"));
-            if let Some(cfg) = transport.fanout_config() {
-                system = system.with_transport(cfg);
-            }
+            let system = AsdbSystem::build(&world, seed.derive("cli")).with_fault_rate(fault_rate);
             let records: Vec<_> = world.ases.iter().map(|r| r.parsed.clone()).collect();
             let config = BatchConfig::with_threads(threads);
             let results = classify_batch_cached_with(&system, &records, config);
@@ -579,7 +519,7 @@ mod tests {
                 out,
                 threads,
                 metrics_out,
-                transport,
+                fault_rate,
             } => {
                 assert_eq!(scale, Scale::Standard);
                 assert_eq!(seed, 42);
@@ -587,8 +527,7 @@ mod tests {
                 assert_eq!(out.as_deref(), Some("/tmp/x.jsonl"));
                 assert_eq!(threads, 8);
                 assert_eq!(metrics_out.as_deref(), Some("/tmp/m.json"));
-                assert_eq!(transport, TransportFlags::default());
-                assert!(transport.fanout_config().is_none());
+                assert_eq!(fault_rate, 0.0, "no faults unless asked for");
             }
             other => panic!("parsed {other:?}"),
         }
@@ -596,41 +535,22 @@ mod tests {
 
     #[test]
     fn parses_transport_flags() {
-        let c = parse(&[
-            "classify",
-            "--fault-rate",
-            "0.25",
-            "--source-timeout-ms",
-            "200",
-            "--retries",
-            "5",
-        ])
-        .unwrap();
-        match c {
-            Command::Classify { transport, .. } => {
-                assert_eq!(transport.fault_rate, Some(0.25));
-                assert_eq!(transport.source_timeout_ms, Some(200));
-                assert_eq!(transport.retries, Some(5));
-                let cfg = transport.fanout_config().expect("flags select a config");
-                assert_eq!(cfg.transport.timeout, Duration::from_millis(200));
-                assert_eq!(cfg.transport.max_retries, 5);
-                assert!(!cfg.faults.is_none());
-            }
+        match parse(&["classify", "--fault-rate", "0.25"]).unwrap() {
+            Command::Classify { fault_rate, .. } => assert_eq!(fault_rate, 0.25),
             other => panic!("parsed {other:?}"),
         }
-        // A partial flag set still selects a config, defaulting the rest.
-        match parse(&["metrics", "--retries", "0"]).unwrap() {
-            Command::Metrics { transport, .. } => {
-                let cfg = transport.fanout_config().expect("config selected");
-                assert_eq!(cfg.transport.max_retries, 0);
-                assert!(cfg.faults.is_none(), "no faults unless asked for");
-            }
+        match parse(&["metrics", "--fault-rate", "1"]).unwrap() {
+            Command::Metrics { fault_rate, .. } => assert_eq!(fault_rate, 1.0),
             other => panic!("parsed {other:?}"),
         }
         assert!(parse(&["classify", "--fault-rate", "1.5"]).is_err());
         assert!(parse(&["classify", "--fault-rate", "x"]).is_err());
-        assert!(parse(&["classify", "--source-timeout-ms"]).is_err());
-        assert!(parse(&["classify", "--retries", "-1"]).is_err());
+        assert!(parse(&["classify", "--fault-rate"]).is_err());
+        // The fault rate is the transport's only knob.
+        for flag in ["--source-timeout-ms", "--retries"] {
+            let err = parse(&["classify", flag, "5"]).unwrap_err();
+            assert!(err.0.contains("unknown flag"), "{flag}: {err}");
+        }
     }
 
     #[test]
@@ -673,7 +593,7 @@ mod tests {
                 seed: 9,
                 threads: 2,
                 metrics_out: None,
-                transport: TransportFlags::default(),
+                fault_rate: 0.0,
             },
             &mut buf,
         )
@@ -747,7 +667,7 @@ mod tests {
                 seed: 9,
                 asn: Asn::new(999_999_999),
                 metrics_out: None,
-                transport: TransportFlags::default(),
+                fault_rate: 0.0,
             },
             &mut buf,
         )

@@ -10,12 +10,17 @@
 //! does. Output order is preserved by reassembling chunks at their
 //! original offsets.
 //!
-//! [`classify_batch`] is cache-free and therefore fully deterministic
-//! regardless of thread count; [`classify_batch_cached`] shares the
-//! system's organization cache, which is faster on multi-AS
-//! organizations but makes the *stage* (not the label quality) of later
-//! duplicates depend on scheduling. Concurrent duplicates of one
-//! organization that miss at the same time may each run the pipeline.
+//! [`classify_batch`] is cache-free, and nothing else it touches carries
+//! state from one record to the next (the source transport draws each
+//! fault from the call's own seed, source, ASN and attempt), so its
+//! output is the same at every thread count, with or without injected
+//! faults. [`classify_batch_cached`] shares the system's organization
+//! cache, which is faster on multi-AS organizations. The first member
+//! of an organization a worker finishes fills the cache and later
+//! members copy its result as `Cached`, so on several threads which
+//! member leads, and with it the labels and stage of the others, depends
+//! on scheduling. Concurrent duplicates of one organization that miss at
+//! the same time may each run the pipeline.
 //!
 //! Both record wall-clock and per-worker timing into the system's
 //! [`PipelineMetrics`](crate::metrics::PipelineMetrics) (`batch.*`,

@@ -47,4 +47,4 @@ pub use cache::{CacheSnapshot, OrgCache, OrgKey};
 pub use classifier::{MlClassifiers, MlVerdict};
 pub use metrics::PipelineMetrics;
 pub use pipeline::{AsdbSystem, Classification, Stage};
-pub use sources_set::{FanoutConfig, FanoutOutcome, MatchPolicy, SourceFanout, SourceSet, Stage1};
+pub use sources_set::{FanoutOutcome, MatchPolicy, SourceFanout, SourceSet, Stage1};

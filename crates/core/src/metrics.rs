@@ -78,14 +78,12 @@ pub struct PipelineMetrics {
     source_rejects: [Arc<Counter>; SourceId::ASDB_FIVE.len()],
 
     // Transport health per source: clean calls that found no entry,
-    // calls lost to timeouts / hard failures, retry attempts beyond the
-    // first, and calls shed by an open circuit breaker (which never reach
-    // the wire and so do not count as queries).
+    // calls lost to timeouts / hard failures, and retry attempts beyond
+    // the first.
     source_no_match: [Arc<Counter>; SourceId::ASDB_FIVE.len()],
     source_timeouts: [Arc<Counter>; SourceId::ASDB_FIVE.len()],
     source_failures: [Arc<Counter>; SourceId::ASDB_FIVE.len()],
     source_retries: [Arc<Counter>; SourceId::ASDB_FIVE.len()],
-    source_breaker_open: [Arc<Counter>; SourceId::ASDB_FIVE.len()],
 
     // §5.1 domain selection outcomes.
     domain_selected: Arc<Counter>,
@@ -139,7 +137,6 @@ impl PipelineMetrics {
         let source_timeouts = per_source(&registry, "timeouts");
         let source_failures = per_source(&registry, "failures");
         let source_retries = per_source(&registry, "retries");
-        let source_breaker_open = per_source(&registry, "breaker_open");
         PipelineMetrics {
             stage,
             source_queries,
@@ -149,7 +146,6 @@ impl PipelineMetrics {
             source_timeouts,
             source_failures,
             source_retries,
-            source_breaker_open,
             domain_selected: registry.counter("domain.selected"),
             domain_none: registry.counter("domain.none"),
             ml_fired: registry.counter("ml.fired"),
@@ -239,9 +235,8 @@ impl PipelineMetrics {
     }
 
     /// Record the transport facts of one fan-out source call, at call
-    /// time: a breaker-shed call counts only as `breaker_open` (it never
-    /// reached the wire); everything else counts as a query, plus its
-    /// retries and — for degraded calls — a timeout or failure. Clean
+    /// time: every call counts as a query, plus its retries and, for
+    /// degraded calls, a timeout or failure. Clean
     /// calls that found no entry count as `no_match`. Match/reject
     /// resolution is recorded separately by the fan-out's policy pass, so
     /// per source `queries == matches + rejects + no_match + timeouts +
@@ -253,10 +248,6 @@ impl PipelineMetrics {
         let Some(i) = source_index(o.source) else {
             return;
         };
-        if matches!(o.kind, OutcomeKind::BreakerOpen) {
-            self.source_breaker_open[i].inc();
-            return;
-        }
         self.source_queries[i].inc();
         if o.retries > 0 {
             self.source_retries[i].add(u64::from(o.retries));
@@ -265,7 +256,7 @@ impl PipelineMetrics {
             OutcomeKind::NoMatch => self.source_no_match[i].inc(),
             OutcomeKind::TimedOut => self.source_timeouts[i].inc(),
             OutcomeKind::Failed => self.source_failures[i].inc(),
-            OutcomeKind::Matched(_) | OutcomeKind::BreakerOpen => {}
+            OutcomeKind::Matched(_) => {}
         }
     }
 
@@ -408,15 +399,14 @@ impl PipelineMetrics {
             ));
         }
 
-        out.push_str("\n== source transport (timeouts / failures / retries / breaker-open) ==\n");
+        out.push_str("\n== source transport (timeouts / failures / retries) ==\n");
         for (i, id) in SourceId::ASDB_FIVE.iter().enumerate() {
             out.push_str(&format!(
-                "  {:<12} {:>8} / {:>8} / {:>8} / {:>8}\n",
+                "  {:<12} {:>8} / {:>8} / {:>8}\n",
                 id.to_string(),
                 self.source_timeouts[i].get(),
                 self.source_failures[i].get(),
                 self.source_retries[i].get(),
-                self.source_breaker_open[i].get(),
             ));
         }
 
@@ -515,9 +505,7 @@ mod tests {
         m.record_source_outcome(&SourceOutcome {
             source: SourceId::ZoomInfo,
             kind: OutcomeKind::NoMatch,
-            attempts: 1,
             retries: 0,
-            elapsed: Duration::ZERO,
         });
         let cache = m.build_cache();
         let snap = m.snapshot(&cache);

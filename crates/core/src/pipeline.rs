@@ -3,7 +3,7 @@
 use crate::cache::{CachedResult, OrgCache, OrgKey};
 use crate::classifier::{MlClassifiers, MlVerdict};
 use crate::metrics::PipelineMetrics;
-use crate::sources_set::{FanoutConfig, MatchPolicy, SourceFanout, SourceSet};
+use crate::sources_set::{MatchPolicy, SourceFanout, SourceSet};
 use asdb_entity::domain_select::{select_domain, DomainCandidates, DomainStrategy};
 use asdb_model::{Domain, WorldSeed};
 use asdb_rir::ParsedWhois;
@@ -94,9 +94,8 @@ pub struct Classification {
     /// reconstruct "the union of category labels from external data
     /// sources".
     pub match_labels: Vec<(SourceId, CategorySet)>,
-    /// Sources that were unavailable for this record (timed out, failed
-    /// every attempt, or were shed by an open circuit breaker) — the
-    /// consensus ran without them, so the label rests on partial §3.5
+    /// Sources that were unavailable for this record (every attempt timed
+    /// out or failed): the consensus ran without them, so the label rests on partial §3.5
     /// coverage. Empty in a healthy run.
     pub degraded: Vec<SourceId>,
 }
@@ -194,13 +193,13 @@ impl AsdbSystem {
         self
     }
 
-    /// Builder-style: rebuild the source fan-out with explicit transport
-    /// tuning and an injected fault plan. The fan-out's randomness derives
-    /// from a seed fixed at [`AsdbSystem::build`] time, so the same build
-    /// seed + config replays the exact same faults, retries, and backoff
-    /// schedules. Clients and breaker state are rebuilt fresh.
-    pub fn with_transport(mut self, config: FanoutConfig) -> AsdbSystem {
-        self.fanout = SourceFanout::with_config(self.transport_seed, config);
+    /// Builder-style: rebuild the source fan-out so that every source
+    /// attempt faults with probability `fault_rate`, split evenly between
+    /// errors and timeouts. The fault draws derive from a seed fixed at
+    /// [`AsdbSystem::build`] time, so the same build seed and rate replay
+    /// the exact same faults and retries.
+    pub fn with_fault_rate(mut self, fault_rate: f64) -> AsdbSystem {
+        self.fanout = SourceFanout::with_fault_rate(self.transport_seed, fault_rate);
         self
     }
 
@@ -713,20 +712,13 @@ mod tests {
     #[test]
     fn degraded_sources_are_surfaced_and_runs_replay_per_seed() {
         let w = World::generate(WorldConfig::small(WorldSeed::new(2021)));
-        let noisy = || {
-            AsdbSystem::build(&w, WorldSeed::new(1)).with_transport(
-                crate::sources_set::FanoutConfig {
-                    faults: asdb_sources::transport::FaultPlan::uniform(0.35),
-                    ..Default::default()
-                },
-            )
-        };
+        let noisy = || AsdbSystem::build(&w, WorldSeed::new(1)).with_fault_rate(0.35);
         let (a, b) = (noisy(), noisy());
         let mut saw_degraded = false;
         for rec in w.ases.iter().take(60) {
             let ca = a.classify(&rec.parsed);
             let cb = b.classify(&rec.parsed);
-            // Same build seed + same fault plan ⇒ bit-identical replay,
+            // Same build seed + same fault rate ⇒ bit-identical replay,
             // unavailable-source record included.
             assert_eq!(ca.categories, cb.categories);
             assert_eq!(ca.stage, cb.stage);

@@ -3,25 +3,22 @@
 //!
 //! [`SourceSet`] owns the five production sources (Table 1).
 //! [`SourceFanout`] is the pipeline's only way to *call* them: every
-//! search goes through a per-source [`SourceClient`] (timeout, bounded
-//! retry with deterministic backoff, circuit breaker) over a shared
-//! [`NetworkSim`], and the ASN stage and the name/domain stage each call
+//! search goes through [`transport::call`] (bounded retry over a seeded
+//! [`NetworkSim`]), and the ASN stage and the name/domain stage each call
 //! their sources one after another, collecting outcomes in a fixed order.
 //! The pipeline consumes typed [`SourceOutcome`]s, so "the source had
-//! nothing" and "the source was unavailable" stay distinct — the §3.5
+//! nothing" and "the source was unavailable" stay distinct: the §3.5
 //! partial-coverage consensus runs on whatever subset answered, and the
 //! unavailable subset is surfaced as `degraded`.
 //!
-//! Determinism: with faults disabled the layer is transparent (same
-//! matches as a direct `search` loop), so outcomes depend on nothing but
-//! the query. With faults enabled, each source's fault draws follow its
-//! own logical call clock inside the sim (an `AtomicU64` per source), and
-//! each source's circuit-breaker state sits behind one `Mutex` that all
-//! workers share. On one thread the
-//! calls arrive in a fixed order, so equal seeds replay equal faults. With
-//! several batch workers, which record takes which clock tick, and what
-//! state the breaker is in, depend on scheduling, so outcomes can differ
-//! between runs.
+//! Determinism: the fan-out holds no mutable state. Whether an attempt
+//! faults depends only on the seed, the fault rate, the source, the
+//! query's ASN and the attempt number, so a record's outcomes are the
+//! same whichever worker classifies it and whatever ran before. At fault
+//! rate 0 the layer is transparent (same matches as a direct `search`
+//! loop).
+//!
+//! [`transport::call`]: asdb_sources::transport::call
 
 use crate::metrics::PipelineMetrics;
 use asdb_model::{Asn, Domain, WorldSeed};
@@ -29,9 +26,7 @@ use asdb_sources::crunchbase::Crunchbase;
 use asdb_sources::dnb::Dnb;
 use asdb_sources::ipinfo::Ipinfo;
 use asdb_sources::peeringdb::PeeringDb;
-use asdb_sources::transport::{
-    BreakerState, FaultPlan, NetworkSim, OutcomeKind, SourceClient, SourceOutcome, TransportConfig,
-};
+use asdb_sources::transport::{self, NetworkSim, OutcomeKind, SourceOutcome};
 use asdb_sources::zvelo::Zvelo;
 use asdb_sources::{DataSource, Query, SourceId, SourceMatch};
 use asdb_taxonomy::schemes::PeeringDbType;
@@ -94,15 +89,6 @@ const STAGE1: [SourceId; 2] = [SourceId::PeeringDb, SourceId::Ipinfo];
 /// The web sources stage 3 queries once a name/domain is available.
 const STAGE3: [SourceId; 3] = [SourceId::Dnb, SourceId::Crunchbase, SourceId::Zvelo];
 
-/// Tuning for the fan-out layer: transport and injected network weather.
-#[derive(Debug, Clone, Default)]
-pub struct FanoutConfig {
-    /// Per-source timeout / retry / backoff / breaker tuning.
-    pub transport: TransportConfig,
-    /// Injected faults (none by default — the transport is transparent).
-    pub faults: FaultPlan,
-}
-
 /// The collected stage-1 (ASN-indexed) fan-out: one outcome per source,
 /// PeeringDB then IPinfo, plus PeeringDB's operator-reported network type
 /// when that source was reachable (the Figure 4 shortcut's input).
@@ -150,68 +136,35 @@ pub struct FanoutOutcome {
     pub outcomes: Vec<SourceOutcome>,
     /// Matches that survived the [`MatchPolicy`].
     pub matches: Vec<SourceMatch>,
-    /// Sources that timed out, failed, or were breaker-shed.
+    /// Sources that timed out or failed.
     pub degraded: Vec<SourceId>,
 }
 
-/// The fault-aware fan-out over the five production sources: one
-/// [`SourceClient`] per source (own breaker) sharing one seeded
-/// [`NetworkSim`].
+/// The fault-aware fan-out over the five production sources, all called
+/// through one seeded [`NetworkSim`].
 #[derive(Debug)]
 pub struct SourceFanout {
-    config: FanoutConfig,
     sim: NetworkSim,
-    clients: [SourceClient; SourceId::ASDB_FIVE.len()],
 }
 
 impl SourceFanout {
-    /// A transparent fan-out (no faults, default transport) for `seed`.
+    /// A transparent fan-out (no faults) for `seed`.
     pub fn new(seed: WorldSeed) -> SourceFanout {
-        SourceFanout::with_config(seed, FanoutConfig::default())
+        SourceFanout::with_fault_rate(seed, 0.0)
     }
 
-    /// A fan-out with explicit transport tuning and fault plan. All
-    /// randomness (latency draws, fault draws, backoff jitter) derives
-    /// from `seed`, so equal seed + config ⇒ bit-identical behaviour.
-    pub fn with_config(seed: WorldSeed, config: FanoutConfig) -> SourceFanout {
-        let sim = NetworkSim::with_faults(seed, config.faults.clone());
-        let clients =
-            std::array::from_fn(|i| SourceClient::new(SourceId::ASDB_FIVE[i], &config.transport));
+    /// A fan-out whose every source attempt faults with probability
+    /// `fault_rate` (see [`NetworkSim::new`]). All fault draws derive from
+    /// `seed`, so equal seed and rate give bit-identical behaviour.
+    pub fn with_fault_rate(seed: WorldSeed, fault_rate: f64) -> SourceFanout {
         SourceFanout {
-            config,
-            sim,
-            clients,
+            sim: NetworkSim::new(seed, fault_rate),
         }
-    }
-
-    /// The active tuning.
-    pub fn config(&self) -> &FanoutConfig {
-        &self.config
-    }
-
-    /// The shared network simulation.
-    pub fn sim(&self) -> &NetworkSim {
-        &self.sim
-    }
-
-    /// The circuit-breaker state for a production source (`None` for the
-    /// two dropped sources, which have no client).
-    pub fn breaker_state(&self, id: SourceId) -> Option<BreakerState> {
-        let i = SourceId::ASDB_FIVE.iter().position(|s| *s == id)?;
-        Some(self.clients[i].breaker_state())
-    }
-
-    fn client(&self, id: SourceId) -> &SourceClient {
-        let i = SourceId::ASDB_FIVE
-            .iter()
-            .position(|s| *s == id)
-            .expect("fan-out only queries the ASdb five");
-        &self.clients[i]
     }
 
     /// Issue one query to each of `ids`, in `ids` order, and collect the
     /// outcomes in that order. Transport accounting (queries, retries,
-    /// timeouts, failures, breaker sheds) is recorded here, at call time;
+    /// timeouts, failures) is recorded here, at call time;
     /// match/reject resolution happens later in [`SourceFanout::resolve`].
     fn calls(
         &self,
@@ -225,9 +178,7 @@ impl SourceFanout {
             .iter()
             .map(|&id| {
                 let source = sources.get(id).expect("ASdb-five source present");
-                let out = self
-                    .client(id)
-                    .call(&self.config.transport, &self.sim, source, query);
+                let out = transport::call(&self.sim, source, query);
                 metrics.record_source_outcome(&out);
                 out
             })
@@ -310,9 +261,7 @@ impl SourceFanout {
                     }
                 }
                 OutcomeKind::NoMatch => {}
-                OutcomeKind::TimedOut | OutcomeKind::Failed | OutcomeKind::BreakerOpen => {
-                    degraded.push(o.source);
-                }
+                OutcomeKind::TimedOut | OutcomeKind::Failed => degraded.push(o.source),
             }
         }
         FanoutOutcome {
@@ -328,7 +277,6 @@ mod tests {
     use super::*;
     use asdb_taxonomy::CategorySet;
     use asdb_worldgen::WorldConfig;
-    use std::time::Duration;
 
     #[test]
     fn builds_and_dispatches() {
@@ -346,12 +294,27 @@ mod tests {
 
     #[test]
     fn dropped_sources_stay_excluded_from_the_fanout() {
-        let f = SourceFanout::new(WorldSeed::new(9));
-        assert!(f.breaker_state(SourceId::ZoomInfo).is_none());
-        assert!(f.breaker_state(SourceId::Clearbit).is_none());
-        for id in SourceId::ASDB_FIVE {
-            assert_eq!(f.breaker_state(id), Some(BreakerState::Closed));
-        }
+        let w = World::generate(WorldConfig::small(WorldSeed::new(5)));
+        let s = SourceSet::build(&w, WorldSeed::new(6));
+        let metrics = PipelineMetrics::new();
+        // At rate 1 every called source is degraded, so `degraded` lists
+        // exactly the sources the fan-out calls.
+        let f = SourceFanout::with_fault_rate(WorldSeed::new(9), 1.0);
+        let rec = &w.ases[0];
+        let stage1 = f.stage1(&s, rec.asn, &metrics);
+        let policy = MatchPolicy {
+            reject_entity_disagreement: false,
+            chosen_domain: None,
+        };
+        let out = f.stage3(
+            &s,
+            &Query::by_name(&rec.parsed.name),
+            stage1,
+            &policy,
+            &metrics,
+        );
+        assert_eq!(out.degraded, SourceId::ASDB_FIVE.to_vec());
+        assert!(out.matches.is_empty());
     }
 
     #[test]
@@ -359,42 +322,34 @@ mod tests {
         let w = World::generate(WorldConfig::small(WorldSeed::new(5)));
         let s = SourceSet::build(&w, WorldSeed::new(6));
         let metrics = PipelineMetrics::new();
-        let faulty = || {
-            SourceFanout::with_config(
-                WorldSeed::new(7),
-                FanoutConfig {
-                    faults: FaultPlan::uniform(0.2),
-                    ..FanoutConfig::default()
-                },
-            )
-        };
-        let (a, b) = (faulty(), faulty());
         let policy = MatchPolicy {
             reject_entity_disagreement: false,
             chosen_domain: None,
         };
-        let mut degraded = 0usize;
-        for rec in w.ases.iter().take(40) {
-            let (a1, b1) = (
-                a.stage1(&s, rec.asn, &metrics),
-                b.stage1(&s, rec.asn, &metrics),
-            );
+        let recs = &w.ases[..100];
+        let fanout = |f: &SourceFanout, rec: &asdb_worldgen::AsRecord| {
+            let stage1 = f.stage1(&s, rec.asn, &metrics);
             // Order-stable collection: PeeringDB then IPinfo, always.
-            assert_eq!(a1.outcomes[0].source, SourceId::PeeringDb);
-            assert_eq!(a1.outcomes[1].source, SourceId::Ipinfo);
-            // Per-source logical clocks make equal seeds bit-identical,
-            // faults, retries, virtual elapsed time and all.
-            assert_eq!(a1.outcomes, b1.outcomes);
-            assert_eq!(a1.network_type, b1.network_type);
-            let query = Query::by_name(&rec.parsed.name);
-            let a3 = a.stage3(&s, &query, a1, &policy, &metrics);
-            let b3 = b.stage3(&s, &query, b1, &policy, &metrics);
-            assert_eq!(a3.outcomes, b3.outcomes);
-            assert_eq!(a3.matches, b3.matches);
-            assert_eq!(a3.degraded, b3.degraded);
-            degraded += a3.degraded.len();
-        }
-        assert!(degraded > 0, "20% faults never degraded a source");
+            assert_eq!(stage1.outcomes[0].source, SourceId::PeeringDb);
+            assert_eq!(stage1.outcomes[1].source, SourceId::Ipinfo);
+            let network_type = stage1.network_type;
+            let query = Query {
+                asn: Some(rec.asn),
+                ..Query::by_name(&rec.parsed.name)
+            };
+            let out = f.stage3(&s, &query, stage1, &policy, &metrics);
+            (network_type, out.outcomes, out.matches, out.degraded)
+        };
+        // Pure fault draws make equal seeds bit-identical, faults and
+        // retries included, whatever order the records arrive in.
+        let a = SourceFanout::with_fault_rate(WorldSeed::new(7), 0.3);
+        let b = SourceFanout::with_fault_rate(WorldSeed::new(7), 0.3);
+        let forward: Vec<_> = recs.iter().map(|r| fanout(&a, r)).collect();
+        let mut backward: Vec<_> = recs.iter().rev().map(|r| fanout(&b, r)).collect();
+        backward.reverse();
+        assert_eq!(forward, backward);
+        let degraded: usize = forward.iter().map(|f| f.3.len()).sum();
+        assert!(degraded > 0, "30% faults never degraded a source");
     }
 
     #[test]
@@ -471,9 +426,7 @@ mod tests {
         let outcome = SourceOutcome {
             source: SourceId::Dnb,
             kind: OutcomeKind::Matched(empty_match),
-            attempts: 1,
             retries: 0,
-            elapsed: Duration::ZERO,
         };
         metrics.record_source_outcome(&outcome);
         let policy = MatchPolicy {
@@ -496,9 +449,7 @@ mod tests {
         let outcome = SourceOutcome {
             source: SourceId::Zvelo,
             kind: OutcomeKind::TimedOut,
-            attempts: 3,
             retries: 2,
-            elapsed: Duration::from_millis(3100),
         };
         metrics.record_source_outcome(&outcome);
         let policy = MatchPolicy {

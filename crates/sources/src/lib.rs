@@ -42,10 +42,7 @@ pub mod transport;
 pub mod zoominfo;
 pub mod zvelo;
 
-pub use transport::{
-    BreakerConfig, BreakerState, FaultPlan, NetworkSim, Outage, OutcomeKind, SourceClient,
-    SourceOutcome, TransportConfig,
-};
+pub use transport::{NetworkSim, OutcomeKind, SourceOutcome};
 
 use asdb_model::{Asn, ConfidenceCode, Domain, OrgId};
 use asdb_taxonomy::CategorySet;

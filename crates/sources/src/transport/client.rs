@@ -1,79 +1,20 @@
-//! The fault-aware client wrapping one data source.
+//! One source call through the simulated network.
 //!
-//! [`SourceClient`] turns a bare [`DataSource`] into something a
-//! production pipeline can call: every search goes through the
-//! [`NetworkSim`]'s weather, is bounded by a per-source timeout, retried
-//! with exponential backoff and deterministic jitter, and shed outright
-//! while the source's circuit breaker is open. The result is a typed
-//! [`SourceOutcome`] instead of a bare `Option<SourceMatch>`, so the
-//! pipeline can distinguish "the source answered and had nothing"
-//! ([`OutcomeKind::NoMatch`]) from "the source was unavailable"
-//! ([`SourceOutcome::is_degraded`]) — the distinction §3.5's
-//! partial-coverage consensus depends on.
-//!
-//! All waiting is *virtual*: attempt latencies and backoff delays are
-//! summed into [`SourceOutcome::elapsed`] rather than slept, so tests and
-//! batch runs execute at memory speed while still observing realistic
-//! schedules.
+//! [`call`] turns a bare [`DataSource`] search into something a
+//! production pipeline can rely on: each attempt goes through the
+//! [`NetworkSim`]'s weather and a faulted attempt is retried up to
+//! [`MAX_RETRIES`] times. The result is a typed [`SourceOutcome`] instead
+//! of a bare `Option<SourceMatch>`, so the pipeline can tell "the source
+//! answered and had nothing" ([`OutcomeKind::NoMatch`]) from "the source
+//! was unavailable" ([`SourceOutcome::is_degraded`]), the distinction
+//! §3.5's partial-coverage consensus depends on.
 
-use super::breaker::{BreakerConfig, BreakerState, CircuitBreaker};
 use super::sim::{Fault, NetworkSim};
 use crate::{DataSource, Query, SourceId, SourceMatch};
-use asdb_model::WorldSeed;
-use std::time::Duration;
+use asdb_model::Asn;
 
-/// Transport tuning shared by every source client.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TransportConfig {
-    /// Per-attempt deadline.
-    pub timeout: Duration,
-    /// Retries after the first attempt (total attempts = `max_retries + 1`).
-    pub max_retries: u32,
-    /// First backoff delay; doubles per retry.
-    pub backoff_base: Duration,
-    /// Backoff ceiling.
-    pub backoff_cap: Duration,
-    /// Circuit-breaker tuning.
-    pub breaker: BreakerConfig,
-}
-
-impl Default for TransportConfig {
-    fn default() -> TransportConfig {
-        TransportConfig {
-            timeout: Duration::from_millis(1000),
-            max_retries: 2,
-            backoff_base: Duration::from_millis(50),
-            backoff_cap: Duration::from_secs(2),
-            breaker: BreakerConfig::default(),
-        }
-    }
-}
-
-/// The backoff delay before retry `attempt` (1-based) of the call that
-/// consumed sim index `call_index`: exponential (`base · 2^(attempt-1)`,
-/// capped) with deterministic equal-jitter — half fixed, half drawn from
-/// `(seed, source, call_index, attempt)`. A pure function: the whole
-/// schedule is reproducible per seed.
-pub fn backoff_delay(
-    config: &TransportConfig,
-    seed: WorldSeed,
-    id: SourceId,
-    call_index: u64,
-    attempt: u32,
-) -> Duration {
-    let exp = attempt.saturating_sub(1).min(20);
-    let full = config
-        .backoff_base
-        .saturating_mul(1u32 << exp)
-        .min(config.backoff_cap);
-    let half = full / 2;
-    let r = seed
-        .derive("backoff")
-        .derive_index(id.name(), call_index ^ (u64::from(attempt) << 48))
-        .value();
-    let frac = (r >> 11) as f64 / (1u64 << 53) as f64;
-    half + Duration::from_nanos((half.as_nanos() as f64 * frac) as u64)
-}
+/// Retries after a faulted first attempt (so at most 3 attempts).
+pub const MAX_RETRIES: u32 = 2;
 
 /// How a transport-mediated source call resolved.
 #[derive(Debug, Clone, PartialEq)]
@@ -82,12 +23,10 @@ pub enum OutcomeKind {
     Matched(SourceMatch),
     /// The source answered and had no entry for the query.
     NoMatch,
-    /// Every attempt exceeded the per-attempt deadline.
+    /// The last attempt stalled past the deadline.
     TimedOut,
-    /// Every attempt failed hard.
+    /// The last attempt failed hard.
     Failed,
-    /// The circuit breaker was open; no attempt was made.
-    BreakerOpen,
 }
 
 /// A typed, accounted result of one pipeline-level source call.
@@ -97,151 +36,52 @@ pub struct SourceOutcome {
     pub source: SourceId,
     /// How the call resolved.
     pub kind: OutcomeKind,
-    /// Wire attempts actually made (0 when the breaker shed the call).
-    pub attempts: u32,
     /// Retries beyond the first attempt.
     pub retries: u32,
-    /// Total simulated time: attempt latencies plus backoff waits.
-    pub elapsed: Duration,
 }
 
 impl SourceOutcome {
-    /// Whether the source was unavailable for this call (timed out,
-    /// failed, or breaker-shed) — the §3.5 partial-coverage signal.
+    /// Whether the source was unavailable for this call (timed out or
+    /// failed): the §3.5 partial-coverage signal.
     pub fn is_degraded(&self) -> bool {
-        matches!(
-            self.kind,
-            OutcomeKind::TimedOut | OutcomeKind::Failed | OutcomeKind::BreakerOpen
-        )
-    }
-
-    /// The candidate match, if the call produced one.
-    pub fn matched(&self) -> Option<&SourceMatch> {
-        match &self.kind {
-            OutcomeKind::Matched(m) => Some(m),
-            _ => None,
-        }
-    }
-
-    /// Consume the outcome into its candidate match.
-    pub fn into_matched(self) -> Option<SourceMatch> {
-        match self.kind {
-            OutcomeKind::Matched(m) => Some(m),
-            _ => None,
-        }
+        matches!(self.kind, OutcomeKind::TimedOut | OutcomeKind::Failed)
     }
 }
 
-/// A fault-aware client for one source: timeout + retry/backoff + breaker.
-#[derive(Debug)]
-pub struct SourceClient {
-    id: SourceId,
-    breaker: CircuitBreaker,
-}
-
-impl SourceClient {
-    /// A fresh client (closed breaker) for `id`.
-    pub fn new(id: SourceId, config: &TransportConfig) -> SourceClient {
-        SourceClient {
-            id,
-            breaker: CircuitBreaker::new(config.breaker),
-        }
-    }
-
-    /// Which source this client fronts.
-    pub fn id(&self) -> SourceId {
-        self.id
-    }
-
-    /// The breaker's current state.
-    pub fn breaker_state(&self) -> BreakerState {
-        self.breaker.state()
-    }
-
-    /// Run one pipeline-level search through the transport: breaker
-    /// admission, then up to `1 + max_retries` simulated wire attempts
-    /// with exponential backoff between them.
-    pub fn call(
-        &self,
-        config: &TransportConfig,
-        sim: &NetworkSim,
-        source: &dyn DataSource,
-        query: &Query,
-    ) -> SourceOutcome {
-        debug_assert_eq!(source.id(), self.id, "client/source pairing");
-        if !self.breaker.admit() {
-            return SourceOutcome {
-                source: self.id,
-                kind: OutcomeKind::BreakerOpen,
-                attempts: 0,
-                retries: 0,
-                elapsed: Duration::ZERO,
-            };
-        }
-        let mut elapsed = Duration::ZERO;
-        let mut attempts = 0u32;
-        loop {
-            let obs = sim.observe(self.id);
-            attempts += 1;
-            // A drawn latency above the deadline is a timeout even without
-            // an injected stall (matters when the operator dials the
-            // timeout below the source's organic latency).
-            let fault = match obs.fault {
-                Some(f) => Some(f),
-                None if obs.latency > config.timeout => Some(Fault::Timeout),
-                None => None,
-            };
-            match fault {
-                None => {
-                    elapsed += obs.latency;
-                    self.breaker.on_success();
-                    let kind = match source.search(query) {
-                        Some(m) => OutcomeKind::Matched(m),
-                        None => OutcomeKind::NoMatch,
-                    };
-                    return SourceOutcome {
-                        source: self.id,
-                        kind,
-                        attempts,
-                        retries: attempts - 1,
-                        elapsed,
-                    };
-                }
-                Some(f) => {
-                    elapsed += match f {
-                        // A stalled attempt costs the full deadline.
-                        Fault::Timeout => config.timeout,
-                        Fault::Error => obs.latency.min(config.timeout),
-                    };
-                    self.breaker.on_failure();
-                    if attempts <= config.max_retries {
-                        elapsed += backoff_delay(config, sim.seed(), self.id, obs.index, attempts);
-                        continue;
-                    }
-                    let kind = match f {
-                        Fault::Timeout => OutcomeKind::TimedOut,
-                        Fault::Error => OutcomeKind::Failed,
-                    };
-                    return SourceOutcome {
-                        source: self.id,
-                        kind,
-                        attempts,
-                        retries: attempts - 1,
-                        elapsed,
-                    };
+/// Search `source` through `sim`: up to `1 + MAX_RETRIES` attempts, each
+/// faulting as the sim draws it for the query's ASN (ASN 0 when the
+/// query has none). The first clean attempt runs the search; if every
+/// attempt faults, the last fault decides the outcome.
+pub fn call(sim: &NetworkSim, source: &dyn DataSource, query: &Query) -> SourceOutcome {
+    let id = source.id();
+    let asn = query.asn.unwrap_or(Asn::new(0));
+    let mut retries = 0;
+    let kind = loop {
+        match sim.fault(id, asn, retries) {
+            None => {
+                break match source.search(query) {
+                    Some(m) => OutcomeKind::Matched(m),
+                    None => OutcomeKind::NoMatch,
                 }
             }
+            Some(_) if retries < MAX_RETRIES => retries += 1,
+            Some(Fault::Timeout) => break OutcomeKind::TimedOut,
+            Some(Fault::Error) => break OutcomeKind::Failed,
         }
+    };
+    SourceOutcome {
+        source: id,
+        kind,
+        retries,
     }
 }
 
 #[cfg(test)]
 mod tests {
-    use super::super::sim::{FaultPlan, Outage};
     use super::*;
-    use asdb_model::{Asn, OrgId};
+    use asdb_model::{OrgId, WorldSeed};
 
-    /// A scripted source: always matches, never matches, etc.
+    /// A scripted source: always matches or never matches.
     struct Scripted {
         id: SourceId,
         matches: bool,
@@ -266,139 +106,41 @@ mod tests {
         }
     }
 
-    fn fixture(matches: bool) -> (TransportConfig, Scripted) {
-        (
-            TransportConfig::default(),
-            Scripted {
-                id: SourceId::Dnb,
-                matches,
-            },
-        )
+    fn dnb(matches: bool) -> Scripted {
+        Scripted {
+            id: SourceId::Dnb,
+            matches,
+        }
     }
 
     #[test]
     fn clean_network_returns_match_and_no_match() {
-        let (cfg, src) = fixture(true);
-        let sim = NetworkSim::new(WorldSeed::new(1));
-        let client = SourceClient::new(SourceId::Dnb, &cfg);
-        let out = client.call(&cfg, &sim, &src, &Query::by_asn(Asn::new(1)));
+        let sim = NetworkSim::new(WorldSeed::new(1), 0.0);
+        let q = Query::by_asn(Asn::new(1));
+        let out = call(&sim, &dnb(true), &q);
         assert!(matches!(out.kind, OutcomeKind::Matched(_)));
-        assert_eq!((out.attempts, out.retries), (1, 0));
+        assert_eq!(out.retries, 0);
         assert!(!out.is_degraded());
 
-        let (_, empty) = fixture(false);
-        let out = client.call(&cfg, &sim, &empty, &Query::by_asn(Asn::new(1)));
+        let out = call(&sim, &dnb(false), &q);
         assert_eq!(out.kind, OutcomeKind::NoMatch);
         assert!(!out.is_degraded());
     }
 
     #[test]
     fn outage_exhausts_retries_then_fails() {
-        let (cfg, src) = fixture(true);
-        let plan = FaultPlan::none().with_outage(Outage {
-            source: Some(SourceId::Dnb),
-            start: 0,
-            len: 1000,
-        });
-        let sim = NetworkSim::with_faults(WorldSeed::new(2), plan);
-        let client = SourceClient::new(SourceId::Dnb, &cfg);
-        let out = client.call(&cfg, &sim, &src, &Query::by_asn(Asn::new(1)));
-        assert_eq!(out.kind, OutcomeKind::Failed);
-        assert_eq!(out.attempts, cfg.max_retries + 1);
-        assert_eq!(out.retries, cfg.max_retries);
-        assert!(out.is_degraded());
-        // Backoff waits are charged into the virtual elapsed time.
-        assert!(out.elapsed >= cfg.backoff_base);
-    }
-
-    #[test]
-    fn breaker_opens_and_sheds_under_sustained_outage() {
-        let (cfg, src) = fixture(true);
-        let plan = FaultPlan::none().with_outage(Outage {
-            source: Some(SourceId::Dnb),
-            start: 0,
-            len: u64::MAX,
-        });
-        let sim = NetworkSim::with_faults(WorldSeed::new(3), plan);
-        let client = SourceClient::new(SourceId::Dnb, &cfg);
-        // Each call makes 3 failing attempts; the default threshold (5)
-        // trips during the second call.
-        let q = Query::by_asn(Asn::new(1));
-        assert_eq!(client.call(&cfg, &sim, &src, &q).kind, OutcomeKind::Failed);
-        assert_eq!(client.call(&cfg, &sim, &src, &q).kind, OutcomeKind::Failed);
-        assert_eq!(client.breaker_state(), BreakerState::Open);
-        let shed = client.call(&cfg, &sim, &src, &q);
-        assert_eq!(shed.kind, OutcomeKind::BreakerOpen);
-        assert_eq!(shed.attempts, 0);
-        assert_eq!(shed.elapsed, Duration::ZERO);
-        assert_eq!(sim.calls(SourceId::Dnb), 6, "shed calls never hit the wire");
-    }
-
-    #[test]
-    fn breaker_recovers_once_the_outage_ends() {
-        let cfg = TransportConfig {
-            breaker: BreakerConfig {
-                threshold: 2,
-                cooldown: 1,
-            },
-            max_retries: 0,
-            ..TransportConfig::default()
-        };
-        let (_, src) = fixture(true);
-        let plan = FaultPlan::none().with_outage(Outage {
-            source: Some(SourceId::Dnb),
-            start: 0,
-            len: 2,
-        });
-        let sim = NetworkSim::with_faults(WorldSeed::new(4), plan);
-        let client = SourceClient::new(SourceId::Dnb, &cfg);
-        let q = Query::by_asn(Asn::new(1));
-        client.call(&cfg, &sim, &src, &q);
-        client.call(&cfg, &sim, &src, &q);
-        assert_eq!(client.breaker_state(), BreakerState::Open);
-        assert_eq!(
-            client.call(&cfg, &sim, &src, &q).kind,
-            OutcomeKind::BreakerOpen
-        );
-        // Half-open probe lands after the outage window: success closes.
-        let probe = client.call(&cfg, &sim, &src, &q);
-        assert!(matches!(probe.kind, OutcomeKind::Matched(_)));
-        assert_eq!(client.breaker_state(), BreakerState::Closed);
-    }
-
-    #[test]
-    fn tiny_timeout_produces_organic_timeouts() {
-        let cfg = TransportConfig {
-            timeout: Duration::from_millis(1),
-            max_retries: 1,
-            ..TransportConfig::default()
-        };
-        let (_, src) = fixture(true);
-        let sim = NetworkSim::new(WorldSeed::new(5));
-        let client = SourceClient::new(SourceId::Dnb, &cfg);
-        let out = client.call(&cfg, &sim, &src, &Query::by_asn(Asn::new(1)));
-        assert_eq!(out.kind, OutcomeKind::TimedOut);
-        assert_eq!(out.attempts, 2);
-    }
-
-    #[test]
-    fn backoff_schedule_is_exponential_and_capped() {
-        let cfg = TransportConfig::default();
-        let seed = WorldSeed::new(6);
-        let mut prev = Duration::ZERO;
-        for attempt in 1..=6u32 {
-            let d = backoff_delay(&cfg, seed, SourceId::Zvelo, 0, attempt);
-            let full = cfg
-                .backoff_base
-                .saturating_mul(1 << (attempt - 1))
-                .min(cfg.backoff_cap);
-            assert!(d >= full / 2, "attempt {attempt}: {d:?} < {:?}", full / 2);
-            assert!(d <= full, "attempt {attempt}: {d:?} > {full:?}");
-            assert!(d >= prev / 2, "schedule roughly grows");
-            prev = d;
+        let sim = NetworkSim::new(WorldSeed::new(2), 1.0);
+        for asn in 0..50 {
+            let q = Query::by_asn(Asn::new(asn));
+            let out = call(&sim, &dnb(true), &q);
+            assert!(out.is_degraded(), "rate 1 never lets a call through");
+            assert_eq!(out.retries, MAX_RETRIES);
+            let last = match sim.fault(SourceId::Dnb, Asn::new(asn), MAX_RETRIES) {
+                Some(Fault::Timeout) => OutcomeKind::TimedOut,
+                Some(Fault::Error) => OutcomeKind::Failed,
+                None => unreachable!("rate 1 faults every attempt"),
+            };
+            assert_eq!(out.kind, last, "the last attempt's fault decides");
         }
-        // Deep attempts saturate at the cap, not overflow.
-        let deep = backoff_delay(&cfg, seed, SourceId::Zvelo, 0, 40);
-        assert!(deep <= cfg.backoff_cap);
     }
 }

@@ -1,246 +1,62 @@
-//! Deterministic network simulation.
+//! Deterministic network weather.
 //!
-//! Real business-data APIs are slow, rate-limited, and flaky; the paper's
-//! production deployment is built to tolerate partial source coverage
-//! (§3.5). [`NetworkSim`] makes those transport conditions first-class and
-//! *reproducible*: every call to a source consumes one tick of that
-//! source's logical clock, and the call's latency and fault (if any) are a
-//! pure function of `(seed, source, tick)` — SplitMix64-expanded, never a
-//! wall clock or a global RNG. Two runs with the same seed and the same
-//! per-source call order observe byte-identical network weather.
-//!
-//! Faults come from an injectable [`FaultPlan`]: independent per-call
-//! error and timeout probabilities plus [`Outage`] windows (bursts of
-//! consecutive hard failures in a source's call-index space — the shape
-//! that trips a circuit breaker, which scattered errors rarely do).
+//! Real business-data APIs are flaky; the paper's production deployment
+//! is built to tolerate partial source coverage (§3.5). [`NetworkSim`]
+//! makes that reproducible: whether an attempt faults is a pure function
+//! of `(seed, fault rate, source, the query's ASN, attempt)`. It keeps no
+//! clock and no other state, so the answer does not depend on how many
+//! calls came before, on which thread, or in what order.
 
 use crate::SourceId;
-use asdb_model::{splitmix64, WorldSeed};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::time::Duration;
-
-/// Per-source wire-latency distribution: `base + U[0, jitter)`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct LatencyProfile {
-    /// Minimum round-trip latency.
-    pub base: Duration,
-    /// Uniform jitter added on top of `base`.
-    pub jitter: Duration,
-}
-
-impl LatencyProfile {
-    /// Calibrated defaults: the commercial bulk APIs (D&B, Crunchbase,
-    /// ZoomInfo, Clearbit) are the slow tier, the website classifier sits
-    /// in the middle, and the networking databases (PeeringDB, IPinfo)
-    /// are fast. All well below [`TransportConfig::default`]'s 1 s
-    /// timeout, so a fault-free run never times out organically.
-    ///
-    /// [`TransportConfig::default`]: super::TransportConfig::default
-    pub fn for_source(id: SourceId) -> LatencyProfile {
-        let (base_ms, jitter_ms) = match id {
-            SourceId::Dnb => (80, 60),
-            SourceId::Crunchbase => (60, 50),
-            SourceId::ZoomInfo => (50, 40),
-            SourceId::Clearbit => (40, 30),
-            SourceId::Zvelo => (30, 25),
-            SourceId::PeeringDb => (15, 10),
-            SourceId::Ipinfo => (10, 8),
-        };
-        LatencyProfile {
-            base: Duration::from_millis(base_ms),
-            jitter: Duration::from_millis(jitter_ms),
-        }
-    }
-}
-
-/// A burst outage: calls `start .. start + len` (in one source's logical
-/// call-index space) fail hard, consecutively.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Outage {
-    /// The affected source; `None` hits every source.
-    pub source: Option<SourceId>,
-    /// First affected call index.
-    pub start: u64,
-    /// Number of consecutive affected calls.
-    pub len: u64,
-}
-
-impl Outage {
-    /// Whether this outage covers call `index` of `id`.
-    pub fn covers(&self, id: SourceId, index: u64) -> bool {
-        self.source.map_or(true, |s| s == id)
-            && index >= self.start
-            && index < self.start.saturating_add(self.len)
-    }
-}
-
-/// Injectable fault behaviour for a [`NetworkSim`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct FaultPlan {
-    /// Per-call probability of a hard error (connection refused, 5xx).
-    pub error_rate: f64,
-    /// Per-call probability of a stall that exceeds any client deadline.
-    pub timeout_rate: f64,
-    /// Burst outage windows.
-    pub outages: Vec<Outage>,
-}
-
-impl FaultPlan {
-    /// No faults at all: every call succeeds at profile latency.
-    pub fn none() -> FaultPlan {
-        FaultPlan {
-            error_rate: 0.0,
-            timeout_rate: 0.0,
-            outages: Vec::new(),
-        }
-    }
-
-    /// Uniform flakiness: each call independently errors with probability
-    /// `rate` and stalls past the deadline with probability `rate`.
-    pub fn uniform(rate: f64) -> FaultPlan {
-        let rate = rate.clamp(0.0, 0.5);
-        FaultPlan {
-            error_rate: rate,
-            timeout_rate: rate,
-            outages: Vec::new(),
-        }
-    }
-
-    /// Builder-style: add a burst outage window.
-    pub fn with_outage(mut self, outage: Outage) -> FaultPlan {
-        self.outages.push(outage);
-        self
-    }
-
-    /// Whether the plan can never produce a fault.
-    pub fn is_none(&self) -> bool {
-        self.error_rate <= 0.0 && self.timeout_rate <= 0.0 && self.outages.is_empty()
-    }
-}
-
-impl Default for FaultPlan {
-    fn default() -> FaultPlan {
-        FaultPlan::none()
-    }
-}
+use asdb_model::{splitmix64, Asn, WorldSeed};
 
 /// What went wrong on the wire, when something did.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Fault {
     /// Hard failure: the call returns an error immediately.
     Error,
-    /// Stall: the upstream never answers within any client deadline.
+    /// Stall: the upstream never answers within the client's deadline.
     Timeout,
 }
 
-/// One simulated wire interaction.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CallObservation {
-    /// Simulated round-trip latency (for a [`Fault::Timeout`], the time
-    /// the upstream *would* have taken; the client charges its own
-    /// deadline instead).
-    pub latency: Duration,
-    /// The injected fault, if any.
-    pub fault: Option<Fault>,
-    /// The per-source call index this observation consumed.
-    pub index: u64,
-}
-
-/// Deterministic, seed-driven network weather for the seven sources.
+/// Seed-driven fault weather for the seven sources.
 #[derive(Debug)]
 pub struct NetworkSim {
-    seed: WorldSeed,
-    faults: FaultPlan,
-    profiles: [LatencyProfile; SourceId::ALL.len()],
-    clocks: [AtomicU64; SourceId::ALL.len()],
-}
-
-/// Map a derived seed value onto `[0, 1)`.
-fn unit(v: u64) -> f64 {
-    (v >> 11) as f64 / (1u64 << 53) as f64
-}
-
-fn source_index(id: SourceId) -> usize {
-    SourceId::ALL
-        .iter()
-        .position(|s| *s == id)
-        .expect("SourceId::ALL is exhaustive")
+    fault_rate: f64,
+    /// One sub-seed per source, indexed by `SourceId as usize` and
+    /// derived once, so a draw hashes no string.
+    seeds: [u64; SourceId::ALL.len()],
 }
 
 impl NetworkSim {
-    /// A fault-free simulation (profile latency only).
-    pub fn new(seed: WorldSeed) -> NetworkSim {
-        NetworkSim::with_faults(seed, FaultPlan::none())
-    }
-
-    /// A simulation with an explicit fault plan.
-    pub fn with_faults(seed: WorldSeed, faults: FaultPlan) -> NetworkSim {
-        NetworkSim {
-            seed,
-            faults,
-            profiles: std::array::from_fn(|i| LatencyProfile::for_source(SourceId::ALL[i])),
-            clocks: std::array::from_fn(|_| AtomicU64::new(0)),
+    /// A simulation where each attempt faults with probability
+    /// `fault_rate`, split evenly between [`Fault::Error`] and
+    /// [`Fault::Timeout`]. A rate of 0 (the default transport) never
+    /// faults; a rate of 1 faults every attempt.
+    pub fn new(seed: WorldSeed, fault_rate: f64) -> NetworkSim {
+        let base = seed.derive("fault");
+        let mut seeds = [0; SourceId::ALL.len()];
+        for id in SourceId::ALL {
+            seeds[id as usize] = base.derive(id.name()).value();
         }
+        NetworkSim { fault_rate, seeds }
     }
 
-    /// The seed every observation derives from.
-    pub fn seed(&self) -> WorldSeed {
-        self.seed
-    }
-
-    /// The active fault plan.
-    pub fn faults(&self) -> &FaultPlan {
-        &self.faults
-    }
-
-    /// Calls made to `id` so far.
-    pub fn calls(&self, id: SourceId) -> u64 {
-        self.clocks[source_index(id)].load(Ordering::Relaxed)
-    }
-
-    /// Observe the next call to `id`: consume one clock tick and evaluate
-    /// the weather at it.
-    pub fn observe(&self, id: SourceId) -> CallObservation {
-        let index = self.clocks[source_index(id)].fetch_add(1, Ordering::Relaxed);
-        self.observe_at(id, index)
-    }
-
-    /// The weather at call `index` of `id` — a pure function, so the same
-    /// `(seed, source, index)` always observes the same latency and fault.
-    pub fn observe_at(&self, id: SourceId, index: u64) -> CallObservation {
-        if self.faults.outages.iter().any(|o| o.covers(id, index)) {
-            // Hard outage: fails fast (connection refused).
-            let p = self.profiles[source_index(id)];
-            return CallObservation {
-                latency: p.base / 4,
-                fault: Some(Fault::Error),
-                index,
-            };
+    /// The fault, if any, on attempt `attempt` (0 = the first) of a call
+    /// to `source` for `asn`: one uniform draw `r`, an error when
+    /// `r < rate / 2`, a timeout when `r < rate`.
+    pub fn fault(&self, source: SourceId, asn: Asn, attempt: u32) -> Option<Fault> {
+        if self.fault_rate <= 0.0 {
+            return None;
         }
-        let draw = |salt: &str| {
-            unit(splitmix64(
-                self.seed
-                    .derive(salt)
-                    .derive_index(id.name(), index)
-                    .value(),
-            ))
-        };
-        let fault = {
-            let r = draw("fault");
-            if r < self.faults.error_rate {
-                Some(Fault::Error)
-            } else if r < self.faults.error_rate + self.faults.timeout_rate {
-                Some(Fault::Timeout)
-            } else {
-                None
-            }
-        };
-        let p = self.profiles[source_index(id)];
-        let jitter_ns = (p.jitter.as_nanos() as f64 * draw("latency")) as u64;
-        CallObservation {
-            latency: p.base + Duration::from_nanos(jitter_ns),
-            fault,
-            index,
+        let key = (u64::from(asn.value()) << 32) | u64::from(attempt);
+        let r = (splitmix64(self.seeds[source as usize] ^ key) >> 11) as f64 / (1u64 << 53) as f64;
+        if r < self.fault_rate / 2.0 {
+            Some(Fault::Error)
+        } else if r < self.fault_rate {
+            Some(Fault::Timeout)
+        } else {
+            None
         }
     }
 }
@@ -249,67 +65,43 @@ impl NetworkSim {
 mod tests {
     use super::*;
     use rand::check::{self, CASES};
+    use rand::seq::SliceRandom;
     use rand::{Rng, RngExt};
 
     #[test]
     fn fault_free_sim_never_faults() {
-        let sim = NetworkSim::new(WorldSeed::new(7));
+        let sim = NetworkSim::new(WorldSeed::new(7), 0.0);
         for id in SourceId::ALL {
-            for _ in 0..200 {
-                let obs = sim.observe(id);
-                assert_eq!(obs.fault, None);
-                let p = LatencyProfile::for_source(id);
-                assert!(obs.latency >= p.base);
-                assert!(obs.latency < p.base + p.jitter);
+            for asn in 0..200 {
+                for attempt in 0..3 {
+                    assert_eq!(sim.fault(id, Asn::new(asn), attempt), None);
+                }
             }
-            assert_eq!(sim.calls(id), 200);
         }
     }
 
     #[test]
-    fn outage_window_fails_hard_and_consecutively() {
-        let plan = FaultPlan::none().with_outage(Outage {
-            source: Some(SourceId::Dnb),
-            start: 5,
-            len: 10,
-        });
-        let sim = NetworkSim::with_faults(WorldSeed::new(9), plan);
-        for i in 0..30u64 {
-            let obs = sim.observe_at(SourceId::Dnb, i);
-            if (5..15).contains(&i) {
-                assert_eq!(obs.fault, Some(Fault::Error), "call {i}");
-            } else {
-                assert_eq!(obs.fault, None, "call {i}");
+    fn fault_rate_is_honored_and_split_evenly() {
+        let count = |rate: f64| {
+            let sim = NetworkSim::new(WorldSeed::new(11), rate);
+            let (mut errors, mut timeouts) = (0u32, 0u32);
+            for i in 0..4000u32 {
+                match sim.fault(SourceId::Crunchbase, Asn::new(i / 2), i % 2) {
+                    Some(Fault::Error) => errors += 1,
+                    Some(Fault::Timeout) => timeouts += 1,
+                    None => {}
+                }
             }
-            // Other sources are unaffected.
-            assert_eq!(sim.observe_at(SourceId::Zvelo, i).fault, None);
-        }
-    }
-
-    #[test]
-    fn uniform_rates_are_roughly_honored() {
-        let sim = NetworkSim::with_faults(WorldSeed::new(11), FaultPlan::uniform(0.2));
-        let (mut errors, mut timeouts) = (0usize, 0usize);
-        let n = 4000u64;
-        for i in 0..n {
-            match sim.observe_at(SourceId::Crunchbase, i).fault {
-                Some(Fault::Error) => errors += 1,
-                Some(Fault::Timeout) => timeouts += 1,
-                None => {}
-            }
-        }
-        let e = errors as f64 / n as f64;
-        let t = timeouts as f64 / n as f64;
-        assert!((e - 0.2).abs() < 0.03, "error rate {e}");
-        assert!((t - 0.2).abs() < 0.03, "timeout rate {t}");
-    }
-
-    #[test]
-    fn uniform_rate_is_clamped() {
-        let plan = FaultPlan::uniform(3.0);
-        assert_eq!(plan.error_rate, 0.5);
-        assert_eq!(plan.timeout_rate, 0.5);
-        assert!(FaultPlan::uniform(-1.0).is_none());
+            (f64::from(errors) / 4000.0, f64::from(timeouts) / 4000.0)
+        };
+        let (e, t) = count(0.2);
+        assert!((e + t - 0.2).abs() < 0.03, "fault rate {}", e + t);
+        assert!((e - 0.1).abs() < 0.02, "error rate {e}");
+        assert!((t - 0.1).abs() < 0.02, "timeout rate {t}");
+        let (e, t) = count(1.0);
+        assert_eq!(e + t, 1.0, "rate 1 faults every attempt");
+        assert!(e > 0.4 && t > 0.4, "rate 1 still splits: {e} / {t}");
+        assert_eq!(count(0.0), (0.0, 0.0));
     }
 
     #[test]
@@ -319,16 +111,55 @@ mod tests {
             |rng| {
                 (
                     rng.next_u64(),
-                    rng.random_range(0u64..10_000),
-                    rng.random_range(0.0f64..0.5),
+                    rng.random_range(0u32..100_000),
+                    rng.random_range(0.0f64..=1.0),
                 )
             },
-            |(seed, index, rate)| {
-                let a = NetworkSim::with_faults(WorldSeed::new(seed), FaultPlan::uniform(rate));
-                let b = NetworkSim::with_faults(WorldSeed::new(seed), FaultPlan::uniform(rate));
+            |(seed, asn, rate)| {
+                let a = NetworkSim::new(WorldSeed::new(seed), rate);
+                let b = NetworkSim::new(WorldSeed::new(seed), rate);
                 for id in SourceId::ALL {
-                    assert_eq!(a.observe_at(id, index), b.observe_at(id, index));
+                    for attempt in 0..3 {
+                        let asn = Asn::new(asn);
+                        assert_eq!(a.fault(id, asn, attempt), b.fault(id, asn, attempt));
+                    }
                 }
+            },
+        );
+    }
+
+    #[test]
+    fn faults_do_not_depend_on_call_order() {
+        check::cases(
+            64,
+            |rng| {
+                let mut calls: Vec<(usize, u32, u32)> = (0..64)
+                    .map(|_| {
+                        (
+                            rng.random_range(0..SourceId::ALL.len()),
+                            rng.random_range(0u32..1_000),
+                            rng.random_range(0u32..3),
+                        )
+                    })
+                    .collect();
+                let forward = calls.clone();
+                calls.shuffle(rng);
+                (rng.next_u64(), forward, calls)
+            },
+            |(seed, forward, shuffled)| {
+                let sim = NetworkSim::new(WorldSeed::new(seed), 0.5);
+                let draw = |calls: &[(usize, u32, u32)]| {
+                    let mut out: Vec<_> = calls
+                        .iter()
+                        .map(|&(s, asn, attempt)| {
+                            let f = sim.fault(SourceId::ALL[s], Asn::new(asn), attempt);
+                            ((s, asn, attempt), f)
+                        })
+                        .collect();
+                    out.sort_by_key(|(call, _)| *call);
+                    out
+                };
+                assert_eq!(draw(&forward), draw(&shuffled));
             },
         );
     }
@@ -339,10 +170,11 @@ mod tests {
             CASES,
             |rng| rng.next_u64(),
             |seed| {
-                let a = NetworkSim::new(WorldSeed::new(seed));
-                let b = NetworkSim::new(WorldSeed::new(seed.wrapping_add(1)));
-                let diverged = (0..64).any(|i| {
-                    a.observe_at(SourceId::Dnb, i).latency != b.observe_at(SourceId::Dnb, i).latency
+                let a = NetworkSim::new(WorldSeed::new(seed), 0.5);
+                let b = NetworkSim::new(WorldSeed::new(seed.wrapping_add(1)), 0.5);
+                let diverged = (0..64).any(|asn| {
+                    a.fault(SourceId::Dnb, Asn::new(asn), 0)
+                        != b.fault(SourceId::Dnb, Asn::new(asn), 0)
                 });
                 assert!(diverged);
             },
