@@ -5,44 +5,40 @@
 //! Batches are spread over `std::thread::scope` workers ("Our model uses
 //! 6 CPU cores…") by a **work-stealing chunk scheduler**: the input is
 //! cut into ~4 chunks per worker and workers claim them off a shared
-//! atomic cursor, so cheap cached records never leave stragglers pinned
-//! behind expensive scrape-heavy ones the way static contiguous chunking
-//! does. Output order is preserved by reassembling chunks at their
-//! original offsets.
+//! atomic cursor, so cheap records never leave stragglers pinned behind
+//! expensive scrape-heavy ones the way static contiguous chunking does.
+//! Output order is preserved by reassembling chunks at their original
+//! offsets.
 //!
-//! [`classify_batch`] is cache-free, and nothing else it touches carries
-//! state from one record to the next (the source transport draws each
-//! fault from the call's own seed, source, ASN and attempt), so its
-//! output is the same at every thread count, with or without injected
-//! faults. [`classify_batch_cached`] shares the system's organization
-//! cache, which is faster on multi-AS organizations. The first member
-//! of an organization a worker finishes fills the cache and later
-//! members copy its result as `Cached`, so on several threads which
-//! member leads, and with it the labels and stage of the others, depends
-//! on scheduling. Concurrent duplicates of one organization that miss at
-//! the same time may each run the pipeline.
+//! Both batches give the same output at every thread count, with or
+//! without injected faults (the source transport draws each fault from
+//! the call's own seed, source, ASN and attempt). [`classify_batch`] is
+//! cache-free. [`classify_batch_cached`] is defined as its 1-thread
+//! order, in three passes: workers select the §5.1 domain and derive the
+//! organization key of every record; one serial pass in input order makes
+//! the first record of each key a *leader*, and every keyless record too;
+//! workers run the leaders through the cache protocol of
+//! [`AsdbSystem::classify_cached`], then the other records go through it
+//! in input order and hit their leader's entry as `Cached`. No two
+//! workers hold one organization, so none race on a cache entry.
 //!
 //! Both record wall-clock and per-worker timing into the system's
-//! [`PipelineMetrics`](crate::metrics::PipelineMetrics) (`batch.*`,
-//! including chunk and steal counts), so thread-scaling efficiency is
-//! visible in the `asdb metrics` report. Worker panics are re-raised with
-//! their original payload.
+//! [`PipelineMetrics`] (`batch.*`, including chunk and steal counts), so
+//! thread-scaling efficiency is visible in the `asdb metrics` report.
+//! Worker panics are re-raised with their original payload.
 
+use crate::metrics::PipelineMetrics;
 use crate::pipeline::{AsdbSystem, Classification};
 use asdb_rir::ParsedWhois;
+use std::collections::HashSet;
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::time::Instant;
 
 /// Tuning knobs for a batch run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BatchConfig {
     /// Worker threads (minimum 1; capped at the number of chunks).
     pub n_threads: usize,
-}
-
-impl Default for BatchConfig {
-    fn default() -> BatchConfig {
-        BatchConfig { n_threads: 4 }
-    }
 }
 
 impl BatchConfig {
@@ -54,41 +50,39 @@ impl BatchConfig {
     }
 }
 
-/// Run `classify` over `records` on the chunk scheduler, input order
-/// preserved. A panic in `classify` reaches the caller with its original
+/// Map `f` over `items` on the chunk scheduler, input order preserved,
+/// and return the output with the number of workers that ran. Each
+/// worker's wall clock and the pass's chunk and steal counts go into
+/// `metrics`. A panic in `f` reaches the caller with its original
 /// payload.
-fn run_batch<F>(
-    system: &AsdbSystem,
-    records: &[ParsedWhois],
-    config: BatchConfig,
-    classify: F,
-) -> Vec<Classification>
-where
-    F: Fn(&AsdbSystem, &ParsedWhois) -> Classification + Sync,
-{
-    let n_threads = config.n_threads.max(1);
-    if records.is_empty() {
-        return Vec::new();
+fn par_map<T: Sync, U: Send>(
+    metrics: &PipelineMetrics,
+    items: &[T],
+    n_threads: usize,
+    f: impl Fn(&T) -> U + Sync,
+) -> (Vec<U>, usize) {
+    if items.is_empty() {
+        return (Vec::new(), 0);
     }
-    let wall = std::time::Instant::now();
+    let n_threads = n_threads.max(1);
     // ~4 chunks per worker keeps claim overhead negligible while still
     // letting fast workers steal from slow ones.
-    let chunk = records.len().div_ceil(4 * n_threads);
-    let n_chunks = records.len().div_ceil(chunk);
+    let chunk = items.len().div_ceil(4 * n_threads);
+    let n_chunks = items.len().div_ceil(chunk);
     let n_workers = n_threads.min(n_chunks);
     let cursor = AtomicUsize::new(0);
     // Each worker returns the chunks it produced tagged with their input
     // offset; reassembly restores input order without any shared mutable
     // output state.
-    let mut produced: Vec<(usize, Vec<Classification>)> = Vec::with_capacity(n_chunks);
+    let mut produced: Vec<(usize, Vec<U>)> = Vec::with_capacity(n_chunks);
     let mut steals = 0u64;
     std::thread::scope(|scope| {
-        let (cursor, classify) = (&cursor, &classify);
+        let (cursor, f) = (&cursor, &f);
         let handles: Vec<_> = (0..n_workers)
             .map(|_| {
                 scope.spawn(move || {
-                    let worker_wall = std::time::Instant::now();
-                    let mut mine: Vec<(usize, Vec<Classification>)> = Vec::new();
+                    let worker_wall = Instant::now();
+                    let mut mine: Vec<(usize, Vec<U>)> = Vec::new();
                     let mut claimed = 0u64;
                     loop {
                         let i = cursor.fetch_add(1, Ordering::Relaxed);
@@ -97,11 +91,10 @@ where
                         }
                         claimed += 1;
                         let lo = i * chunk;
-                        let hi = (lo + chunk).min(records.len());
-                        let out = records[lo..hi].iter().map(|r| classify(system, r));
-                        mine.push((lo, out.collect()));
+                        let hi = (lo + chunk).min(items.len());
+                        mine.push((lo, items[lo..hi].iter().map(f).collect()));
                     }
-                    system.metrics().record_batch_worker(worker_wall.elapsed());
+                    metrics.record_batch_worker(worker_wall.elapsed());
                     (mine, claimed)
                 })
             })
@@ -121,22 +114,26 @@ where
             }
         }
     });
-    let mut out: Vec<Option<Classification>> = Vec::new();
-    out.resize_with(records.len(), || None);
-    for (lo, chunk_out) in produced {
-        for (j, c) in chunk_out.into_iter().enumerate() {
-            out[lo + j] = Some(c);
-        }
+    metrics.record_batch_chunks(n_chunks as u64, steals);
+    produced.sort_unstable_by_key(|(lo, _)| *lo);
+    let out = produced.into_iter().flat_map(|(_, out)| out).collect();
+    (out, n_workers)
+}
+
+/// Time one batch call of `n` records as one `batch.runs`. `run` returns
+/// the output and the most workers any of its passes ran.
+fn record_run(
+    metrics: &PipelineMetrics,
+    n: usize,
+    run: impl FnOnce() -> (Vec<Classification>, usize),
+) -> Vec<Classification> {
+    if n == 0 {
+        return Vec::new();
     }
-    system
-        .metrics()
-        .record_batch_run(records.len(), n_workers, wall.elapsed());
-    system
-        .metrics()
-        .record_batch_chunks(n_chunks as u64, steals);
-    out.into_iter()
-        .map(|c| c.expect("every slot filled"))
-        .collect()
+    let wall = Instant::now();
+    let (out, workers) = run();
+    metrics.record_batch_run(n, workers, wall.elapsed());
+    out
 }
 
 /// Classify a batch without the cache, with explicit scheduler tuning —
@@ -146,19 +143,51 @@ pub fn classify_batch_with(
     records: &[ParsedWhois],
     config: BatchConfig,
 ) -> Vec<Classification> {
-    run_batch(system, records, config, AsdbSystem::classify)
+    let metrics = system.metrics();
+    record_run(metrics, records.len(), || {
+        par_map(metrics, records, config.n_threads, |r| system.classify(r))
+    })
 }
 
 /// Classify a batch with the shared organization cache and explicit
-/// scheduler tuning (production mode: a multi-AS organization is served
-/// from the cache once classified; concurrent duplicates may each run the
-/// pipeline).
+/// scheduler tuning (production mode). At any thread count the output is
+/// that of [`AsdbSystem::classify_cached`] on each record in input order.
 pub fn classify_batch_cached_with(
     system: &AsdbSystem,
     records: &[ParsedWhois],
     config: BatchConfig,
 ) -> Vec<Classification> {
-    run_batch(system, records, config, AsdbSystem::classify_cached)
+    let (metrics, n_threads) = (system.metrics(), config.n_threads);
+    record_run(metrics, records.len(), || {
+        // Pass 1: the §5.1 domain and organization key of every record,
+        // timed so each record's `pipeline.classify` sample includes it.
+        let (selected, selecting) = par_map(metrics, records, n_threads, |r| {
+            let t = Instant::now();
+            let (chosen, key) = system.select_key(r);
+            (chosen, key, t.elapsed())
+        });
+        // Pass 2: the first record of each key leads, and so does every
+        // keyless record.
+        let mut seen = HashSet::new();
+        let leaders: Vec<usize> = (0..records.len())
+            .filter(|&i| selected[i].1.as_ref().map_or(true, |k| seen.insert(k)))
+            .collect();
+        // Pass 3: the leaders on the workers, then the followers in input
+        // order, each hitting its leader's entry.
+        let (led, leading) = par_map(metrics, &leaders, n_threads, |&i| {
+            let (chosen, key, spent) = &selected[i];
+            system.classify_selected(&records[i], chosen.clone(), key.as_ref(), *spent)
+        });
+        let mut led = leaders.into_iter().zip(led).peekable();
+        let mut out = Vec::with_capacity(records.len());
+        for (i, ((chosen, key, spent), r)) in selected.into_iter().zip(records).enumerate() {
+            out.push(match led.next_if(|(j, _)| *j == i) {
+                Some((_, c)) => c,
+                None => system.classify_selected(r, chosen, key.as_ref(), spent),
+            });
+        }
+        (out, selecting.max(leading))
+    })
 }
 
 /// Classify a batch across `n_threads` threads without the cache —
@@ -234,7 +263,7 @@ mod tests {
         let s = AsdbSystem::build(&w, WorldSeed::new(4));
         let records: Vec<_> = w.ases.iter().take(12).map(|r| r.parsed.clone()).collect();
         let doomed = records[4].asn;
-        run_batch(&s, &records, BatchConfig::with_threads(3), |s, r| {
+        par_map(s.metrics(), &records, 3, |r| {
             if r.asn == doomed {
                 panic!("classifier exploded on the fifth record");
             }
@@ -251,6 +280,15 @@ mod tests {
         let out = classify_batch_cached(&s, &records, 4);
         assert_eq!(out.len(), 40);
         assert!(!s.cache().is_empty());
+        // One run; each record selects its domain once and is sampled and
+        // staged once.
+        let snap = s.metrics_snapshot();
+        assert_eq!(snap.counter("batch.runs"), 1);
+        assert_eq!(snap.counter("batch.records"), 40);
+        let selections = snap.counter("domain.selected") + snap.counter("domain.none");
+        assert_eq!(selections, 40);
+        assert_eq!(snap.histograms["pipeline.classify"].count, 40);
+        assert_eq!(s.metrics().stage_total(), 40);
     }
 
     #[test]

@@ -7,9 +7,11 @@
 //! selected domain when one exists, otherwise by the normalized WHOIS name.
 //!
 //! The map sits behind one `std::sync::RwLock`, held only for the probe
-//! or the store, never while the pipeline runs. Two batch workers that
-//! miss on the same organization at once both run the pipeline; the
-//! second store overwrites the first and is not counted as an insert.
+//! or the store, never while the pipeline runs. The cached batch gives
+//! each organization to one worker, so its workers never race on an
+//! entry. Concurrent `classify_cached` calls that miss on one
+//! organization at once both run the pipeline; the second store
+//! overwrites the first and is not counted as an insert.
 
 use asdb_model::{Domain, OrgName};
 use asdb_obs::Counter;
@@ -45,22 +47,6 @@ pub struct CachedResult {
     pub categories: CategorySet,
     /// Provenance note (stage name at classification time).
     pub provenance: String,
-}
-
-/// A view of the cache's occupancy and reuse statistics —
-/// the §5.1 "previously classified organization" signal, quantified.
-#[derive(Debug, Clone, PartialEq)]
-pub struct CacheSnapshot {
-    /// Organizations currently cached.
-    pub entries: u64,
-    /// Lookups that found an entry.
-    pub hits: u64,
-    /// Lookups that found nothing.
-    pub misses: u64,
-    /// Stores that created an entry.
-    pub inserts: u64,
-    /// `hits / (hits + misses)`, 0 when no lookups happened.
-    pub hit_rate: f64,
 }
 
 /// Thread-safe organization cache.
@@ -120,8 +106,8 @@ impl OrgCache {
 
     /// Store a result, overwriting any entry for the key. Only a store
     /// that creates the entry counts as an insert, so `inserts` stays the
-    /// number of organizations classified even when two workers race on
-    /// one.
+    /// number of organizations classified even when two concurrent
+    /// `classify_cached` calls race on one.
     pub fn put(&self, key: OrgKey, result: CachedResult) {
         let created = self
             .map
@@ -170,29 +156,6 @@ impl OrgCache {
     /// Stores that created an entry.
     pub fn inserts(&self) -> u64 {
         self.inserts.get()
-    }
-
-    /// Fraction of lookups served without running the pipeline (0 when
-    /// none happened).
-    pub fn hit_rate(&self) -> f64 {
-        let hits = self.hits.get();
-        let total = hits + self.misses.get();
-        if total == 0 {
-            0.0
-        } else {
-            hits as f64 / total as f64
-        }
-    }
-
-    /// Occupancy + reuse statistics.
-    pub fn snapshot(&self) -> CacheSnapshot {
-        CacheSnapshot {
-            entries: self.len() as u64,
-            hits: self.hits.get(),
-            misses: self.misses.get(),
-            inserts: self.inserts.get(),
-            hit_rate: self.hit_rate(),
-        }
     }
 }
 
@@ -262,20 +225,7 @@ mod tests {
         assert!(cache.get(&key).is_some());
         assert!(cache.get(&key).is_some());
         assert_eq!((cache.hits(), cache.misses(), cache.inserts()), (2, 1, 1));
-        let rate = cache.hit_rate();
-        assert!((rate - 2.0 / 3.0).abs() < 1e-9, "rate = {rate}");
-        let snap = cache.snapshot();
-        assert_eq!(snap.entries, 1);
-        assert_eq!(snap.hits, 2);
-        assert_eq!(snap.misses, 1);
-        assert_eq!(snap.inserts, 1);
-    }
-
-    #[test]
-    fn empty_cache_hit_rate_is_zero() {
-        let cache = OrgCache::new();
-        assert_eq!(cache.hit_rate(), 0.0);
-        assert_eq!(cache.snapshot().hit_rate, 0.0);
+        assert_eq!(cache.len(), 1);
     }
 
     #[test]

@@ -22,9 +22,8 @@
 //!    source with the best §5.1 accuracy rank.
 //!
 //! Plus the operational half the paper only sketches: an organization
-//! [`cache`] (concurrent misses on the same organization may each run the
-//! pipeline), work-stealing [`batch`]
-//! classification across threads, the §5.3 [`maintain`] loop over
+//! [`cache`], work-stealing [`batch`] classification across threads (its
+//! cached output equal at every thread count), the §5.3 [`maintain`] loop over
 //! registration churn, the public [`dataset`] dump format, and always-on
 //! [`metrics`] — per-stage counters mirroring Table 8, per-source hit
 //! rates, cache reuse, scheduler chunk/steal counts, and
@@ -43,7 +42,7 @@ pub mod pipeline;
 pub mod sources_set;
 
 pub use batch::BatchConfig;
-pub use cache::{CacheSnapshot, OrgCache, OrgKey};
+pub use cache::{OrgCache, OrgKey};
 pub use classifier::{MlClassifiers, MlVerdict};
 pub use metrics::PipelineMetrics;
 pub use pipeline::{AsdbSystem, Classification, Stage};

@@ -425,15 +425,13 @@ impl PipelineMetrics {
             self.ml_overridden.get()
         ));
 
-        let cs = cache.snapshot();
+        let (hits, misses) = (self.cache_hits.get(), self.cache_misses.get());
+        let hit_rate = 100.0 * hits as f64 / (hits + misses).max(1) as f64;
         out.push_str("\n== org cache (§5.1) ==\n");
         out.push_str(&format!(
-            "  entries {}   hits {}   misses {}   inserts {}   hit-rate {:.1}%\n",
-            cs.entries,
-            cs.hits,
-            cs.misses,
-            cs.inserts,
-            100.0 * cs.hit_rate
+            "  entries {}   hits {hits}   misses {misses}   inserts {}   hit-rate {hit_rate:.1}%\n",
+            cache.len(),
+            self.cache_inserts.get(),
         ));
 
         out.push_str("\n== batch ==\n");
@@ -539,5 +537,28 @@ mod tests {
         ] {
             assert!(text.contains(section), "missing {section}:\n{text}");
         }
+    }
+
+    #[test]
+    fn empty_cache_hit_rate_is_zero() {
+        let m = PipelineMetrics::new();
+        let cache = m.build_cache();
+        assert!(m.render_text(&cache).contains("hit-rate 0.0%"));
+        let key = crate::cache::OrgKey::Name("acme".into());
+        let _ = cache.get(&key);
+        let _ = cache.get(&key);
+        cache.put(
+            key.clone(),
+            crate::cache::CachedResult {
+                categories: asdb_taxonomy::CategorySet::new(),
+                provenance: "test".into(),
+            },
+        );
+        let _ = cache.get(&key);
+        let text = m.render_text(&cache);
+        assert!(
+            text.contains("entries 1   hits 1   misses 2   inserts 1   hit-rate 33.3%"),
+            "{text}"
+        );
     }
 }

@@ -1,11 +1,13 @@
-//! Source-transport integration: the uncached batch must give the same
-//! output at every worker-thread count, with and without injected
-//! faults, faults must replay exactly per seed, and the bookkeeping must
-//! be honest: per-source outcome counters reconcile over a whole world.
+//! Source-transport integration: the uncached and the cached batch must
+//! each give the same output at every worker-thread count, with and
+//! without injected faults, faults must replay exactly per seed, and the
+//! bookkeeping must be honest: per-source outcome counters reconcile over
+//! a whole world.
 
-use asdb_core::batch::classify_batch;
-use asdb_core::AsdbSystem;
+use asdb_core::batch::{classify_batch, classify_batch_cached};
+use asdb_core::{AsdbSystem, Classification};
 use asdb_model::WorldSeed;
+use asdb_rir::ParsedWhois;
 use asdb_sources::transport::MAX_RETRIES;
 use asdb_sources::SourceId;
 use asdb_worldgen::{World, WorldConfig};
@@ -16,25 +18,39 @@ fn world() -> World {
 
 const SLUGS: [&str; 5] = ["dnb", "crunchbase", "zvelo", "peeringdb", "ipinfo"];
 
+/// A batch entry point: `classify_batch` or `classify_batch_cached`.
+type Batch = fn(&AsdbSystem, &[ParsedWhois], usize) -> Vec<Classification>;
+
 #[test]
 fn fault_free_batch_labels_agree_across_thread_grid() {
-    batch_output_agrees_across_thread_grid(0.0);
+    batch_output_agrees_across_thread_grid(classify_batch, 0.0);
 }
 
 #[test]
 fn faulted_batch_output_agrees_across_thread_grid() {
-    batch_output_agrees_across_thread_grid(0.2);
+    batch_output_agrees_across_thread_grid(classify_batch, 0.2);
 }
 
-/// The uncached batch at 2 and 4 threads must equal its 1-thread output,
+#[test]
+fn fault_free_cached_batch_output_agrees_across_thread_grid() {
+    batch_output_agrees_across_thread_grid(classify_batch_cached, 0.0);
+}
+
+#[test]
+fn faulted_cached_batch_output_agrees_across_thread_grid() {
+    batch_output_agrees_across_thread_grid(classify_batch_cached, 0.2);
+}
+
+/// The batch at 2 and 4 threads must equal its 1-thread output,
 /// `degraded` included.
-fn batch_output_agrees_across_thread_grid(fault_rate: f64) {
+fn batch_output_agrees_across_thread_grid(batch: Batch, fault_rate: f64) {
     let w = world();
     let records: Vec<_> = w.ases.iter().map(|r| r.parsed.clone()).collect();
-    // A fresh system per run, so no run inherits another's metrics.
+    // A fresh system per run, so no run inherits another's metrics or
+    // cache.
     let run = |threads| {
         let s = AsdbSystem::build(&w, WorldSeed::new(3)).with_fault_rate(fault_rate);
-        classify_batch(&s, &records, threads)
+        batch(&s, &records, threads)
     };
     let reference = run(1);
     for threads in [2usize, 4] {
@@ -46,6 +62,7 @@ fn batch_output_agrees_across_thread_grid(fault_rate: f64) {
             assert_eq!(a.categories, b.categories, "{at}");
             assert_eq!(a.stage, b.stage, "{at}");
             assert_eq!(a.sources, b.sources, "{at}");
+            assert_eq!(a.chosen_domain, b.chosen_domain, "{at}");
             assert_eq!(a.degraded, b.degraded, "{at}");
         }
     }

@@ -1,5 +1,5 @@
-//! Pinned label digests: the labels `classify_batch` emits for fixed
-//! worlds, hashed and committed, so any change to what the pipeline
+//! Pinned label digests: the labels `classify_batch` and
+//! `classify_batch_cached` emit for fixed worlds, hashed and committed, so any change to what the pipeline
 //! outputs — a scoring constant, a search that returns another entry, a
 //! consensus rule — fails here even when the accuracy floors elsewhere
 //! still pass. A change that is meant to move labels updates the pins in
@@ -11,10 +11,14 @@
 //! the ML classifier's hard verdicts and the per-source match labels; raw
 //! f32 probabilities are left out. The Table 8 stage counts and the
 //! per-source outcome counters of the same run are pinned beside it.
+//!
+//! Every run uses 2 threads. The cached pins were computed at 1 thread:
+//! the cached batch's output does not depend on the thread count.
 
-use asdb_core::batch::classify_batch;
+use asdb_core::batch::{classify_batch, classify_batch_cached};
 use asdb_core::{AsdbSystem, Classification, Stage};
 use asdb_model::WorldSeed;
+use asdb_rir::ParsedWhois;
 use asdb_sources::SourceId;
 use asdb_taxonomy::CategorySet;
 use asdb_worldgen::{World, WorldConfig};
@@ -94,11 +98,19 @@ struct Pinned {
 }
 
 fn run(config: WorldConfig) -> Pinned {
+    run_batch(config, classify_batch)
+}
+
+/// [`run`] with another batch entry point.
+fn run_batch(
+    config: WorldConfig,
+    batch: fn(&AsdbSystem, &[ParsedWhois], usize) -> Vec<Classification>,
+) -> Pinned {
     let seed = config.seed;
     let world = World::generate(config);
     let system = AsdbSystem::build(&world, seed.derive("system"));
     let records: Vec<_> = world.ases.iter().map(|r| r.parsed.clone()).collect();
-    let out = classify_batch(&system, &records, 2);
+    let out = batch(&system, &records, 2);
     let mut h = Fnv::new();
     h.u64(out.len() as u64);
     for c in &out {
@@ -180,6 +192,54 @@ fn small_world_labels_match_the_pinned_digests() {
                     [295, 203, 0, 92, 0, 0],
                     [339, 57, 0, 282, 0, 0],
                     [339, 92, 7, 240, 0, 0],
+                ],
+            },
+        ]
+    );
+}
+
+#[test]
+fn standard_world_cached_labels_match_the_pinned_digests() {
+    let got = [1, 2, 3].map(|seed| {
+        run_batch(
+            WorldConfig::standard(WorldSeed::new(seed)),
+            classify_batch_cached,
+        )
+    });
+    assert_eq!(
+        got,
+        [
+            Pinned {
+                digest: 12_689_924_408_348_668_447,
+                stages: [612, 456, 1079, 28, 377, 1582, 403],
+                sources: [
+                    [3469, 3052, 342, 75, 0, 0],
+                    [3469, 1620, 1020, 829, 0, 0],
+                    [3469, 2412, 0, 1057, 0, 0],
+                    [3925, 619, 0, 3306, 0, 0],
+                    [3925, 1080, 101, 2744, 0, 0],
+                ],
+            },
+            Pinned {
+                digest: 13_417_597_495_297_600_324,
+                stages: [586, 408, 985, 33, 369, 1724, 406],
+                sources: [
+                    [3517, 3069, 374, 74, 0, 0],
+                    [3517, 1662, 981, 874, 0, 0],
+                    [3517, 2416, 0, 1101, 0, 0],
+                    [3925, 589, 0, 3336, 0, 0],
+                    [3925, 1050, 92, 2783, 0, 0],
+                ],
+            },
+            Pinned {
+                digest: 16_136_480_542_546_989_151,
+                stages: [624, 431, 1094, 27, 332, 1690, 352],
+                sources: [
+                    [3495, 3060, 359, 76, 0, 0],
+                    [3495, 1571, 1069, 855, 0, 0],
+                    [3495, 2496, 0, 999, 0, 0],
+                    [3926, 590, 0, 3336, 0, 0],
+                    [3926, 1098, 76, 2752, 0, 0],
                 ],
             },
         ]
