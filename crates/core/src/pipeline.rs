@@ -147,7 +147,7 @@ pub struct AsdbSystem {
     /// Feature switches (default: everything on).
     pub options: PipelineOptions,
     web: Arc<SimWeb>,
-    domain_counts: HashMap<Domain, usize>,
+    domain_counts: Arc<HashMap<Domain, usize>>,
     cache: OrgCache,
     metrics: PipelineMetrics,
     seed: WorldSeed,
@@ -156,18 +156,19 @@ pub struct AsdbSystem {
 }
 
 impl AsdbSystem {
-    /// Build the full system over a world: construct the five sources,
-    /// train the classifiers, and snapshot the WHOIS-wide domain counts
-    /// the §5.1 filter needs.
+    /// Build the full system over a world: construct the five sources
+    /// on one thread while the classifiers train on the calling one (each
+    /// derives its own seed, so neither depends on the other), and share
+    /// the world's WHOIS-wide domain counts the §5.1 filter needs.
     pub fn build(world: &World, seed: WorldSeed) -> AsdbSystem {
-        let sources = SourceSet::build(world, seed.derive("sources"));
-        let ml = MlClassifiers::train(world, seed.derive("ml"));
-        let mut domain_counts: HashMap<Domain, usize> = HashMap::new();
-        for rec in &world.ases {
-            for d in rec.parsed.candidate_domains() {
-                *domain_counts.entry(d).or_insert(0) += 1;
-            }
-        }
+        let (sources, ml) = std::thread::scope(|scope| {
+            let sources = scope.spawn(|| SourceSet::build(world, seed.derive("sources")));
+            let ml = MlClassifiers::train(world, seed.derive("ml"));
+            let sources = sources
+                .join()
+                .unwrap_or_else(|panic| std::panic::resume_unwind(panic));
+            (sources, ml)
+        });
         let metrics = PipelineMetrics::new();
         let cache = metrics.build_cache();
         let transport_seed = seed.derive("transport");
@@ -176,7 +177,7 @@ impl AsdbSystem {
             ml,
             options: PipelineOptions::default(),
             web: Arc::clone(&world.web),
-            domain_counts,
+            domain_counts: Arc::clone(world.domain_as_counts()),
             cache,
             metrics,
             seed: seed.derive("pipeline"),

@@ -49,15 +49,26 @@ pub struct SourceSet {
 }
 
 impl SourceSet {
-    /// Build all five over a world.
+    /// Build all five over a world. D&B, the costliest, builds on its own
+    /// thread beside the other four; each source derives its own draws
+    /// from `seed`, so the result does not depend on the split.
     pub fn build(world: &World, seed: WorldSeed) -> SourceSet {
-        SourceSet {
-            dnb: Dnb::build(world, seed),
-            crunchbase: Crunchbase::build(world, seed),
-            zvelo: Zvelo::build(world, seed),
-            peeringdb: PeeringDb::build(world, seed),
-            ipinfo: Ipinfo::build(world, seed),
-        }
+        std::thread::scope(|scope| {
+            let dnb = scope.spawn(|| Dnb::build(world, seed));
+            let crunchbase = Crunchbase::build(world, seed);
+            let zvelo = Zvelo::build(world, seed);
+            let peeringdb = PeeringDb::build(world, seed);
+            let ipinfo = Ipinfo::build(world, seed);
+            SourceSet {
+                dnb: dnb
+                    .join()
+                    .unwrap_or_else(|panic| std::panic::resume_unwind(panic)),
+                crunchbase,
+                zvelo,
+                peeringdb,
+                ipinfo,
+            }
+        })
     }
 
     /// A source by id (the two dropped sources are not in the set).

@@ -150,7 +150,7 @@ mod tests {
     }
 
     fn web_with(org: &str, domain: &str) -> SimWeb {
-        let mut web = SimWeb::new(WorldSeed::new(5));
+        let mut web = SimWeb::new();
         web.host(Website::generate(
             &SiteSpec {
                 domain: dom(domain),
@@ -212,7 +212,7 @@ mod tests {
     #[test]
     fn most_similar_falls_back_to_domain_string() {
         // No sites hosted at all: the domain string itself is compared.
-        let web = SimWeb::new(WorldSeed::new(2));
+        let web = SimWeb::new();
         let c = DomainCandidates::new([(dom("zzz-unrelated.org"), 3), (dom("acmenet.com"), 3)]);
         let picked = select_domain(
             &c,
@@ -227,7 +227,7 @@ mod tests {
 
     #[test]
     fn least_common_picks_rarest() {
-        let web = SimWeb::new(WorldSeed::new(3));
+        let web = SimWeb::new();
         let c = DomainCandidates::new([
             (dom("shared-noc.net"), 90),
             (dom("acmenet.com"), 2),
@@ -246,7 +246,7 @@ mod tests {
 
     #[test]
     fn random_is_deterministic_per_seed_and_name() {
-        let web = SimWeb::new(WorldSeed::new(4));
+        let web = SimWeb::new();
         let c = DomainCandidates::new([(dom("a.com"), 1), (dom("b.com"), 1), (dom("c.com"), 1)]);
         let p1 = select_domain(
             &c,
@@ -267,7 +267,7 @@ mod tests {
 
     #[test]
     fn empty_pool_returns_none() {
-        let web = SimWeb::new(WorldSeed::new(6));
+        let web = SimWeb::new();
         let c = DomainCandidates::new([(dom("gmail.com"), 9000)]);
         assert!(select_domain(
             &c,
@@ -286,7 +286,7 @@ mod tests {
 
     #[test]
     fn singleton_pool_short_circuits() {
-        let web = SimWeb::new(WorldSeed::new(7));
+        let web = SimWeb::new();
         let c = DomainCandidates::new([(dom("only.com"), 1)]);
         for strat in [
             DomainStrategy::Random,

@@ -2,18 +2,15 @@
 //!
 //! The scraper talks to the web through the [`Fetcher`] trait, so it can be
 //! pointed at the [`SimWeb`] registry in experiments or at custom stubs in
-//! tests. Fetches have a deterministic latency model — "Each AS takes 5–30
-//! seconds to scrape, depending on load time and number of internal pages"
-//! (§4.1) — and the documented failure modes (unreachable hosts, missing
-//! pages).
+//! tests. Fetches have the documented failure modes (unreachable hosts,
+//! missing pages).
 
 use crate::site::Website;
-use asdb_model::{Domain, Url, WorldSeed};
+use asdb_model::{Domain, Url};
 use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::Arc;
-use std::time::Duration;
 
 /// Why a fetch failed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -38,14 +35,11 @@ impl fmt::Display for FetchError {
 
 impl std::error::Error for FetchError {}
 
-/// A successful fetch: the markup and how long the request took in
-/// simulated time.
+/// A successful fetch: the page's markup.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Fetched<'a> {
     /// Raw page markup, borrowed from the fetcher where it holds the page.
     pub markup: Cow<'a, str>,
-    /// Simulated request latency.
-    pub latency: Duration,
 }
 
 /// Anything the scraper can fetch pages from.
@@ -71,17 +65,12 @@ impl<F: Fetcher + ?Sized> Fetcher for Arc<F> {
 pub struct SimWeb {
     sites: BTreeMap<Domain, Website>,
     unreachable: BTreeMap<Domain, ()>,
-    seed: WorldSeed,
 }
 
 impl SimWeb {
     /// Empty web.
-    pub fn new(seed: WorldSeed) -> SimWeb {
-        SimWeb {
-            sites: BTreeMap::new(),
-            unreachable: BTreeMap::new(),
-            seed,
-        }
+    pub fn new() -> SimWeb {
+        SimWeb::default()
     }
 
     /// Host a website.
@@ -113,17 +102,6 @@ impl SimWeb {
     pub fn is_empty(&self) -> bool {
         self.sites.is_empty()
     }
-
-    /// Deterministic per-(domain, path) latency in 200ms–6s, so a 1+5-page
-    /// scrape lands in the paper's 5–30s window.
-    fn latency(&self, url: &Url) -> Duration {
-        let h = self
-            .seed
-            .derive(url.host.as_str())
-            .derive(&url.path)
-            .value();
-        Duration::from_millis(200 + (h % 5_800))
-    }
 }
 
 impl Fetcher for SimWeb {
@@ -136,7 +114,6 @@ impl Fetcher for SimWeb {
         let markup = site.pages.get(&url.path).ok_or(FetchError::NotFound)?;
         Ok(Fetched {
             markup: Cow::Borrowed(markup),
-            latency: self.latency(url),
         })
     }
 }
@@ -146,10 +123,11 @@ mod tests {
     use super::*;
     use crate::lang::Language;
     use crate::site::{SiteQuirks, SiteSpec};
+    use asdb_model::WorldSeed;
     use asdb_taxonomy::naicslite::known;
 
     fn web() -> SimWeb {
-        let mut w = SimWeb::new(WorldSeed::new(1));
+        let mut w = SimWeb::new();
         let spec = SiteSpec {
             domain: Domain::new("live.example").unwrap(),
             org_name: "Live Org".into(),
@@ -168,8 +146,6 @@ mod tests {
         let url = Url::root(Domain::new("live.example").unwrap());
         let f = w.fetch(&url).unwrap();
         assert!(f.markup.contains("Live Org"));
-        assert!(f.latency >= Duration::from_millis(200));
-        assert!(f.latency <= Duration::from_secs(6));
     }
 
     #[test]
@@ -181,16 +157,6 @@ mod tests {
         assert_eq!(w.fetch(&dead).unwrap_err(), FetchError::Unreachable);
         let unknown = Url::root(Domain::new("ghost.example").unwrap());
         assert_eq!(w.fetch(&unknown).unwrap_err(), FetchError::NoSuchHost);
-    }
-
-    #[test]
-    fn latency_is_deterministic() {
-        let w = web();
-        let url = Url::root(Domain::new("live.example").unwrap());
-        assert_eq!(
-            w.fetch(&url).unwrap().latency,
-            w.fetch(&url).unwrap().latency
-        );
     }
 
     #[test]

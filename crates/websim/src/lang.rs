@@ -69,20 +69,23 @@ impl Language {
         format!("{word}{}", self.marker())
     }
 
-    /// Transform whole text (word-by-word, preserving whitespace shape).
+    /// Transform whole text (word-by-word, preserving whitespace shape):
+    /// every non-empty run between spaces and newlines gets the marker,
+    /// and the separators are copied as they are. One exactly sized
+    /// output buffer, no per-word `String`.
     pub fn mangle_text(self, text: &str) -> String {
-        if self == Language::English {
-            return text.to_owned();
+        let marker = self.marker();
+        let words = text.split([' ', '\n']).filter(|w| !w.is_empty()).count();
+        let mut out = String::with_capacity(text.len() + words * marker.len());
+        for piece in text.split_inclusive([' ', '\n']) {
+            let word = piece.trim_end_matches([' ', '\n']);
+            out.push_str(word);
+            if !word.is_empty() {
+                out.push_str(marker);
+            }
+            out.push_str(&piece[word.len()..]);
         }
-        text.split('\n')
-            .map(|line| {
-                line.split(' ')
-                    .map(|w| self.mangle_word(w))
-                    .collect::<Vec<_>>()
-                    .join(" ")
-            })
-            .collect::<Vec<_>>()
-            .join("\n")
+        out
     }
 
     /// Detect the language of a text by its dominant suffix marker,

@@ -22,7 +22,7 @@
 //!   pages, with quirk flags reproducing documented failure modes
 //!   (text-in-images, unlinked internal pages, parked domains, Apache test
 //!   pages);
-//! * [`fetch`]: a simulated HTTP fetcher with deterministic latency and
+//! * [`fetch`]: a simulated HTTP fetcher with deterministic
 //!   failure modes behind a [`fetch::Fetcher`] trait;
 //! * [`scraper`]: the paper's scraper — root page plus up to five internal
 //!   pages whose link titles contain the Figure 3 keyword list.

@@ -9,7 +9,6 @@
 use crate::fetch::{FetchError, Fetcher};
 use crate::html::Page;
 use asdb_model::{Domain, Url};
-use std::time::Duration;
 
 /// The Figure 3 keyword list: words that "most frequently appear in the
 /// page titles of internal pages containing organization information".
@@ -43,8 +42,6 @@ pub struct ScrapeResult {
     pub text: String,
     /// Paths visited, root first.
     pub visited: Vec<String>,
-    /// Total simulated wall-clock time.
-    pub duration: Duration,
 }
 
 impl ScrapeResult {
@@ -65,7 +62,6 @@ pub fn scrape<F: Fetcher>(
 ) -> Result<ScrapeResult, FetchError> {
     let root_url = Url::root(domain.clone());
     let root = fetcher.fetch(&root_url)?;
-    let mut duration = root.latency;
     let root_page = Page::parse(&root.markup);
     let mut text = root_page.visible_text();
     let mut visited = vec!["/".to_owned()];
@@ -88,7 +84,6 @@ pub fn scrape<F: Fetcher>(
         let url = Url::with_path(domain.clone(), &link.href);
         match fetcher.fetch(&url) {
             Ok(f) => {
-                duration += f.latency;
                 text.push('\n');
                 Page::parse(&f.markup).push_visible_text(&mut text);
                 visited.push(link.href.clone());
@@ -97,11 +92,7 @@ pub fn scrape<F: Fetcher>(
             Err(_) => continue,
         }
     }
-    Ok(ScrapeResult {
-        text,
-        visited,
-        duration,
-    })
+    Ok(ScrapeResult { text, visited })
 }
 
 fn is_internal(href: &str) -> bool {
@@ -127,7 +118,7 @@ mod tests {
             language: Language::English,
             quirks,
         };
-        let mut web = SimWeb::new(WorldSeed::new(42));
+        let mut web = SimWeb::new();
         web.host(Website::generate(&spec, WorldSeed::new(42)));
         (web, domain)
     }
@@ -181,7 +172,7 @@ mod tests {
 
     #[test]
     fn root_failure_propagates() {
-        let web = SimWeb::new(WorldSeed::new(1));
+        let web = SimWeb::new();
         let err = scrape(
             &web,
             &Domain::new("missing.example").unwrap(),
@@ -214,7 +205,6 @@ mod tests {
                     };
                     Ok(Fetched {
                         markup: Cow::Owned(page.render()),
-                        latency: Duration::from_millis(10),
                     })
                 } else if url.path == "/services" {
                     Ok(Fetched {
@@ -226,7 +216,6 @@ mod tests {
                             }
                             .render(),
                         ),
-                        latency: Duration::from_millis(10),
                     })
                 } else {
                     Err(FetchError::NotFound)
@@ -259,7 +248,6 @@ mod tests {
                 };
                 Ok(Fetched {
                     markup: Cow::Owned(page.render()),
-                    latency: Duration::from_millis(1),
                 })
             }
         }
@@ -270,12 +258,5 @@ mod tests {
         )
         .unwrap();
         assert_eq!(r.visited, vec!["/"]);
-    }
-
-    #[test]
-    fn durations_accumulate() {
-        let (web, domain) = hosted(SiteQuirks::default());
-        let r = scrape(&web, &domain, &ScrapeConfig::default()).unwrap();
-        assert!(r.duration >= Duration::from_millis(200 * r.visited.len() as u64));
     }
 }

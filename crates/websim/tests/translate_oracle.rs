@@ -9,6 +9,12 @@
 //! wherever the oracle returns at all: the oracle slices non-ASCII words at
 //! a byte offset and panics when that offset falls inside a char.
 //!
+//! `Language::mangle_text`, which the site generator uses to write a
+//! foreign page, copies each word and its marker into one buffer; it is
+//! pinned to the oracle's per-word `String`s on the same random texts in
+//! every language (every page it writes is also pinned by
+//! `crates/worldgen/tests/world_digest.rs`).
+//!
 //! `Language::detect` splits words byte by byte and probes each word once;
 //! it is pinned to the oracle's `split_whitespace` and eight-marker compare
 //! on those pages and on random texts that mix languages in chosen
@@ -25,15 +31,32 @@ use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::RngExt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::time::Duration;
 
 /// The replaced translator: per-word `String`s joined per line, a marker
 /// list built per detection, and a case-tolerant strip at a byte offset.
+/// Also the replaced `Language::mangle_text`, the site generator's
+/// inverse of the translator.
 mod oracle {
     use asdb_model::WorldSeed;
     use asdb_websim::Language;
     use rand::rngs::StdRng;
     use rand::{RngExt, SeedableRng};
+
+    /// A `String` per word, joined per line, the lines joined again.
+    pub fn mangle_text(lang: Language, text: &str) -> String {
+        if lang == Language::English {
+            return text.to_owned();
+        }
+        text.split('\n')
+            .map(|line| {
+                line.split(' ')
+                    .map(|w| lang.mangle_word(w))
+                    .collect::<Vec<_>>()
+                    .join(" ")
+            })
+            .collect::<Vec<_>>()
+            .join("\n")
+    }
 
     /// `x` plus the language's suffix, read off its word transform.
     fn marker(lang: Language) -> String {
@@ -215,6 +238,15 @@ fn arb_text(rng: &mut StdRng) -> String {
 }
 
 #[test]
+fn mangle_text_matches_oracle() {
+    check::cases(2_048, arb_text, |text| {
+        for lang in [Language::English].into_iter().chain(Language::NON_ENGLISH) {
+            assert_eq!(lang.mangle_text(&text), oracle::mangle_text(lang, &text));
+        }
+    });
+}
+
+#[test]
 fn translate_matches_oracle_wherever_it_returns() {
     let translators = [
         (
@@ -348,7 +380,6 @@ fn detect_matches_oracle_on_mixed_languages_and_every_white_space() {
         let page = ScrapeResult {
             text: text.clone(),
             visited: vec!["/".to_owned()],
-            duration: Duration::ZERO,
         };
         let want = text.split_whitespace().count() >= 10;
         assert_eq!(page.is_substantive(), want, "{text:?}");

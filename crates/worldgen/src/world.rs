@@ -7,7 +7,7 @@ use crate::org::{AsRecord, Organization};
 use asdb_model::country::Region;
 use asdb_model::{Asn, Date, Domain, Email, OrgId, OrgName, Rir, Url, WorldSeed};
 use asdb_rir::dialect::{self, Address, Registration};
-use asdb_rir::extract;
+use asdb_rir::{extract, ParsedWhois};
 use asdb_taxonomy::{Layer1, Layer2};
 use asdb_websim::{Language, SimWeb, SiteQuirks, SiteSpec, Website};
 use rand::rngs::StdRng;
@@ -40,11 +40,22 @@ pub struct World {
     pub web: Arc<SimWeb>,
     asn_index: HashMap<Asn, usize>,
     org_index: HashMap<OrgId, usize>,
-    domain_as_count: HashMap<Domain, usize>,
+    domain_as_count: Arc<HashMap<Domain, usize>>,
 }
 
 impl World {
     /// Generate a world. Deterministic per config (including its seed).
+    ///
+    /// One loop makes every random draw, in a fixed order, and collects
+    /// each live site's spec and each AS's registration. Then a scoped
+    /// helper serializes and extracts every AS's WHOIS while the calling
+    /// thread generates every site. Both are pure functions of what the
+    /// loop drew, so the world does not depend on the threads' timing.
+    /// The sites stay on the calling thread because their pages are most
+    /// of a world's memory and live as long as it does: glibc gives each
+    /// thread its own malloc arena, and pages generated on other threads
+    /// left freed memory stranded in their arenas from one world to the
+    /// next.
     pub fn generate(config: WorldConfig) -> World {
         let seed = config.seed;
         let mix = CategoryMix::calibrated();
@@ -52,8 +63,9 @@ impl World {
         let mut rng = StdRng::seed_from_u64(seed.derive("world").value());
 
         let mut orgs = Vec::with_capacity(config.n_orgs);
-        let mut ases = Vec::new();
-        let mut web = SimWeb::new(seed.derive("web"));
+        let mut drawn = Vec::new();
+        let mut specs = Vec::new();
+        let mut web = SimWeb::new();
         let mut next_asn: u32 = 1_000;
         let base_date = Date::from_ymd(2020, 10, 1).expect("static date");
 
@@ -92,16 +104,15 @@ impl World {
                     org.domain = Some(unique);
                 }
             }
-            // Host the website.
+            // Note the website; it is generated after the loop.
             if let (Some(domain), true) = (&org.domain, org.live_site) {
-                let spec = SiteSpec {
+                specs.push(SiteSpec {
                     domain: domain.clone(),
                     org_name: org.legal_name.as_str().to_owned(),
                     category: org.category,
                     language: org.language,
                     quirks: org.quirks,
-                };
-                web.host(Website::generate(&spec, seed));
+                });
             } else if let Some(domain) = &org.domain {
                 web.register_unreachable(domain.clone());
             }
@@ -114,11 +125,39 @@ impl World {
                 let asn = Asn::new(next_asn);
                 next_asn += rng.random_range(1..40u32);
                 let registered = base_date.plus_days(-(rng.random_range(0..7000i32)));
-                let rec = build_as_record(&org, asn, registered, k, &config, &mut rng, seed, &orgs);
-                ases.push(rec);
+                drawn.push(build_as_record(
+                    &org, asn, registered, k, &config, &mut rng, &orgs,
+                ));
             }
             orgs.push(org);
         }
+
+        let parsed: Vec<ParsedWhois> = std::thread::scope(|scope| {
+            let whois = scope.spawn(|| {
+                drawn
+                    .iter()
+                    .map(|d| extract(&dialect::serialize(d.rir, &d.registration)))
+                    .collect()
+            });
+            for spec in &specs {
+                web.host(Website::generate(spec, seed));
+            }
+            whois
+                .join()
+                .unwrap_or_else(|panic| std::panic::resume_unwind(panic))
+        });
+        let ases: Vec<AsRecord> = drawn
+            .into_iter()
+            .zip(parsed)
+            .map(|(d, parsed)| AsRecord {
+                asn: d.registration.asn,
+                org: d.org,
+                rir: d.rir,
+                registered: d.registered,
+                registration: d.registration,
+                parsed,
+            })
+            .collect();
 
         let asn_index = ases.iter().enumerate().map(|(i, a)| (a.asn, i)).collect();
         let org_index = orgs.iter().enumerate().map(|(i, o)| (o.id, i)).collect();
@@ -135,7 +174,7 @@ impl World {
             web: Arc::new(web),
             asn_index,
             org_index,
-            domain_as_count,
+            domain_as_count: Arc::new(domain_as_count),
         }
     }
 
@@ -162,6 +201,13 @@ impl World {
             .get(&domain.registrable())
             .copied()
             .unwrap_or(0)
+    }
+
+    /// The WHOIS-wide `registrable domain → AS count` map behind
+    /// [`World::domain_as_count`], for holders that share it
+    /// (`Arc::clone`, never a deep copy).
+    pub fn domain_as_counts(&self) -> &Arc<HashMap<Domain, usize>> {
+        &self.domain_as_count
     }
 
     /// All ASNs in registration order.
@@ -316,7 +362,15 @@ fn build_org(
     }
 }
 
-#[allow(clippy::too_many_arguments)]
+/// An AS registration as the draw loop leaves it: everything an
+/// [`AsRecord`] holds except the parsed WHOIS.
+struct Drawn {
+    org: OrgId,
+    rir: Rir,
+    registered: Date,
+    registration: Registration,
+}
+
 fn build_as_record(
     org: &Organization,
     asn: Asn,
@@ -324,9 +378,8 @@ fn build_as_record(
     as_index: usize,
     config: &WorldConfig,
     rng: &mut StdRng,
-    seed: WorldSeed,
     prior_orgs: &[Organization],
-) -> AsRecord {
+) -> Drawn {
     let rir = Rir::for_region(org.country.region());
     let as_name = format!(
         "{}-AS{}",
@@ -433,16 +486,11 @@ fn build_as_record(
         }
     }
 
-    let rendered = dialect::serialize(rir, &reg);
-    let parsed = extract(&rendered);
-    let _ = seed;
-    AsRecord {
-        asn,
+    Drawn {
         org: org.id,
         rir,
         registered,
         registration: reg,
-        parsed,
     }
 }
 
@@ -450,6 +498,7 @@ fn build_as_record(
 mod tests {
     use super::*;
     use asdb_taxonomy::naicslite::known;
+    use asdb_websim::Fetcher;
 
     fn small_world() -> World {
         World::generate(WorldConfig::small(WorldSeed::new(1234)))
@@ -461,6 +510,15 @@ mod tests {
         assert_eq!(w.orgs.len(), 300);
         assert!(w.ases.len() >= 300, "every org has at least one AS");
         assert!(w.ases.len() < 450, "geometric extras stay modest");
+    }
+
+    #[test]
+    fn parsed_whois_is_the_extract_of_each_registration() {
+        let w = small_world();
+        for rec in &w.ases {
+            let want = extract(&dialect::serialize(rec.rir, &rec.registration));
+            assert_eq!(rec.parsed, want, "{}", rec.asn);
+        }
     }
 
     #[test]
@@ -585,6 +643,25 @@ mod tests {
             .count();
         assert!(live_orgs > 0);
         assert_eq!(w.web.len(), live_orgs);
+        // Each hosted site is the one its own spec generates, and every
+        // other org domain resolves but never answers.
+        for org in &w.orgs {
+            let Some(domain) = &org.domain else { continue };
+            if !org.live_site {
+                let root = w.web.fetch(&Url::root(domain.clone()));
+                assert_eq!(root.unwrap_err(), asdb_websim::FetchError::Unreachable);
+                continue;
+            }
+            let spec = SiteSpec {
+                domain: domain.clone(),
+                org_name: org.legal_name.as_str().to_owned(),
+                category: org.category,
+                language: org.language,
+                quirks: org.quirks,
+            };
+            let want = Website::generate(&spec, w.config.seed);
+            assert_eq!(w.web.site(domain), Some(&want), "{domain}");
+        }
     }
 
     #[test]
