@@ -52,9 +52,8 @@ pub struct CachedResult {
 /// Thread-safe organization cache.
 ///
 /// Lookup/store traffic is counted on shared [`Counter`]s so reuse across
-/// same-org ASes (§5.1) is observable; the counters can be supplied by a
-/// metrics registry via [`OrgCache::with_counters`] or default to private
-/// ones.
+/// same-org ASes (§5.1) is observable; a metrics registry supplies them
+/// via [`OrgCache::with_counters`].
 #[derive(Debug)]
 pub struct OrgCache {
     map: RwLock<HashMap<OrgKey, CachedResult>>,
@@ -63,22 +62,7 @@ pub struct OrgCache {
     inserts: Arc<Counter>,
 }
 
-impl Default for OrgCache {
-    fn default() -> OrgCache {
-        OrgCache::new()
-    }
-}
-
 impl OrgCache {
-    /// Empty cache with private counters.
-    pub fn new() -> OrgCache {
-        OrgCache::with_counters(
-            Arc::new(Counter::new()),
-            Arc::new(Counter::new()),
-            Arc::new(Counter::new()),
-        )
-    }
-
     /// Empty cache whose traffic counters are shared with a metrics
     /// registry.
     pub fn with_counters(
@@ -165,6 +149,10 @@ mod tests {
     use asdb_taxonomy::naicslite::known;
     use asdb_taxonomy::Category;
 
+    fn new_cache() -> OrgCache {
+        crate::PipelineMetrics::new().build_cache()
+    }
+
     fn result(tag: &str) -> CachedResult {
         CachedResult {
             categories: CategorySet::new(),
@@ -192,7 +180,7 @@ mod tests {
 
     #[test]
     fn put_get_invalidate() {
-        let cache = OrgCache::new();
+        let cache = new_cache();
         let key = OrgKey::Name("acme".into());
         assert!(cache.get(&key).is_none());
         cache.put(
@@ -211,7 +199,7 @@ mod tests {
 
     #[test]
     fn stats_track_hits_misses_inserts() {
-        let cache = OrgCache::new();
+        let cache = new_cache();
         let key = OrgKey::Name("acme".into());
         assert!(cache.get(&key).is_none());
         assert_eq!((cache.hits(), cache.misses()), (0, 1));
@@ -248,7 +236,7 @@ mod tests {
     #[test]
     fn concurrent_access() {
         use std::sync::Arc;
-        let cache = Arc::new(OrgCache::new());
+        let cache = Arc::new(new_cache());
         let mut handles = Vec::new();
         for t in 0..8 {
             let c = Arc::clone(&cache);
@@ -268,7 +256,7 @@ mod tests {
 
     #[test]
     fn put_counts_an_insert_only_when_it_creates_the_entry() {
-        let cache = OrgCache::new();
+        let cache = new_cache();
         let key = OrgKey::Name("acme".into());
         cache.put(key.clone(), result("first"));
         cache.put(key.clone(), result("second"));

@@ -113,107 +113,6 @@ pub fn read_jsonl(input: &str) -> (Vec<DatasetRecord>, usize) {
     (out, skipped)
 }
 
-/// Serialize classifications in the asdb.stanford.edu CSV shape:
-/// `ASN,Layer 1 Category,Layer 2 Category,...` with one column pair per
-/// label slot and quoted fields.
-pub fn write_csv(classifications: &[Classification]) -> String {
-    let max_labels = classifications
-        .iter()
-        .map(|c| c.categories.layer2s().len().max(1))
-        .max()
-        .unwrap_or(1);
-    let mut out = String::from("ASN");
-    for i in 1..=max_labels {
-        out.push_str(&format!(
-            ",\"Layer 1 Category {i}\",\"Layer 2 Category {i}\""
-        ));
-    }
-    out.push('\n');
-    for c in classifications {
-        out.push_str(&c.asn.to_string());
-        let l2s: Vec<_> = c.categories.layer2s().into_iter().collect();
-        if l2s.is_empty() {
-            // Layer-1-only (or empty) rows still emit the first pair.
-            let l1 = c
-                .categories
-                .layer1s()
-                .into_iter()
-                .next()
-                .map(|l| l.title().to_owned())
-                .unwrap_or_default();
-            out.push_str(&format!(",\"{}\",\"\"", csv_escape(&l1)));
-            for _ in 1..max_labels {
-                out.push_str(",\"\",\"\"");
-            }
-        } else {
-            for i in 0..max_labels {
-                match l2s.get(i) {
-                    Some(l2) => out.push_str(&format!(
-                        ",\"{}\",\"{}\"",
-                        csv_escape(l2.layer1.title()),
-                        csv_escape(l2.name())
-                    )),
-                    None => out.push_str(",\"\",\"\""),
-                }
-            }
-        }
-        out.push('\n');
-    }
-    out
-}
-
-fn csv_escape(s: &str) -> String {
-    s.replace('"', "\"\"")
-}
-
-/// What changed between two dataset dumps — the §5.3 "continually release
-/// the up-to-date ASdb dataset" story needs diffable releases.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct DatasetDiff {
-    /// ASNs present only in the new dump.
-    pub added: Vec<Asn>,
-    /// ASNs present only in the old dump.
-    pub removed: Vec<Asn>,
-    /// ASNs whose labels changed, with (old, new) layer-2 label lists.
-    pub relabeled: Vec<(Asn, Vec<String>, Vec<String>)>,
-}
-
-impl DatasetDiff {
-    /// Whether anything changed.
-    pub fn is_empty(&self) -> bool {
-        self.added.is_empty() && self.removed.is_empty() && self.relabeled.is_empty()
-    }
-
-    /// Total ASes touched.
-    pub fn len(&self) -> usize {
-        self.added.len() + self.removed.len() + self.relabeled.len()
-    }
-}
-
-/// Diff two record sets by ASN.
-pub fn diff(old: &[DatasetRecord], new: &[DatasetRecord]) -> DatasetDiff {
-    use std::collections::BTreeMap;
-    let old_map: BTreeMap<Asn, &DatasetRecord> = old.iter().map(|r| (r.asn, r)).collect();
-    let new_map: BTreeMap<Asn, &DatasetRecord> = new.iter().map(|r| (r.asn, r)).collect();
-    let mut out = DatasetDiff::default();
-    for (asn, rec) in &new_map {
-        match old_map.get(asn) {
-            None => out.added.push(*asn),
-            Some(o) if o.layer2 != rec.layer2 || o.layer1 != rec.layer1 => {
-                out.relabeled
-                    .push((*asn, o.layer2.clone(), rec.layer2.clone()));
-            }
-            Some(_) => {}
-        }
-    }
-    for asn in old_map.keys() {
-        if !new_map.contains_key(asn) {
-            out.removed.push(*asn);
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -369,65 +268,5 @@ mod tests {
         let (records, skipped) = read_jsonl("");
         assert!(records.is_empty());
         assert_eq!(skipped, 0);
-    }
-
-    #[test]
-    fn csv_has_header_and_quoted_fields() {
-        let csv = write_csv(&[sample()]);
-        let mut lines = csv.lines();
-        let header = lines.next().unwrap();
-        assert!(header.starts_with("ASN,"));
-        assert!(header.contains("Layer 1 Category 1"));
-        let row = lines.next().unwrap();
-        assert!(row.starts_with("AS3356,"));
-        assert!(row.contains("\"Computer and Information Technology\""));
-        assert!(row.contains("Internet Service Provider"));
-    }
-
-    #[test]
-    fn csv_pads_multi_label_rows() {
-        use asdb_taxonomy::{Category, CategorySet};
-        let mut two = sample();
-        let mut cats = CategorySet::single(Category::l2(known::isp()));
-        cats.insert(Category::l2(known::hosting()));
-        two.categories = cats;
-        let csv = write_csv(&[sample(), two]);
-        // Width = widest row (2 label pairs), so each data row has
-        // 1 + 2*2 = 5 columns at minimum (counting quoted commas is
-        // fragile; just check both label names appear on row 3).
-        let row2 = csv.lines().nth(2).unwrap();
-        assert!(row2.contains("Internet Service Provider"));
-        assert!(row2.contains("Hosting"));
-        let row1 = csv.lines().nth(1).unwrap();
-        assert!(row1.ends_with("\"\",\"\""), "short rows are padded: {row1}");
-    }
-
-    #[test]
-    fn diff_detects_all_change_kinds() {
-        let a = DatasetRecord {
-            asn: Asn::new(1),
-            layer1: vec!["tech".into()],
-            layer2: vec!["tech/ISP".into()],
-            stage: "x".into(),
-            sources: vec![],
-            degraded: vec![],
-        };
-        let mut b = a.clone();
-        b.asn = Asn::new(2);
-        let mut a_relabeled = a.clone();
-        a_relabeled.layer2 = vec!["tech/Hosting".into()];
-        let mut c = a.clone();
-        c.asn = Asn::new(3);
-
-        let old = vec![a.clone(), b.clone()];
-        let new = vec![a_relabeled, c];
-        let d = diff(&old, &new);
-        assert_eq!(d.added, vec![Asn::new(3)]);
-        assert_eq!(d.removed, vec![Asn::new(2)]);
-        assert_eq!(d.relabeled.len(), 1);
-        assert_eq!(d.relabeled[0].0, Asn::new(1));
-        assert_eq!(d.len(), 3);
-        assert!(!d.is_empty());
-        assert!(diff(&old, &old).is_empty());
     }
 }

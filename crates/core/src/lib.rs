@@ -24,7 +24,7 @@
 //! Plus the operational half the paper only sketches: an organization
 //! [`cache`], work-stealing [`batch`] classification across threads (its
 //! cached output equal at every thread count), the §5.3 [`maintain`] loop over
-//! registration churn, the public [`dataset`] dump format, and always-on
+//! registration churn, the public [`dataset`] dump format, and on-by-default
 //! [`metrics`] — per-stage counters mirroring Table 8, per-source hit
 //! rates, cache reuse, scheduler chunk/steal counts, and
 //! latency histograms, snapshot-able as text or JSON.

@@ -11,9 +11,11 @@
 //! snapshot.
 //!
 //! Hot-path cost is one relaxed atomic op per event; the registry's lock
-//! is only touched at construction and snapshot time. The whole layer can
-//! be turned into a no-op with [`PipelineMetrics::set_enabled`], so the
-//! cost of instrumentation can be measured by switching it off.
+//! is only touched at construction and snapshot time.
+//! [`PipelineMetrics::set_enabled`] turns every `record_*` call into a
+//! no-op, so the cost of instrumentation can be measured by switching it
+//! off. The `cache.hits`, `cache.misses` and `cache.inserts` counters are
+//! the [`OrgCache`]'s own and keep counting while it is off.
 
 use crate::cache::OrgCache;
 use crate::pipeline::{Classification, Stage};
@@ -178,8 +180,9 @@ impl PipelineMetrics {
         self.enabled.load(Ordering::Relaxed)
     }
 
-    /// Turn the whole layer into a no-op (or back on), e.g. to measure
-    /// what instrumentation costs.
+    /// Turn every `record_*` call into a no-op (or back on), e.g. to
+    /// measure what instrumentation costs. The cache's own `cache.hits`,
+    /// `cache.misses` and `cache.inserts` counters are not switched.
     pub fn set_enabled(&self, on: bool) {
         self.enabled.store(on, Ordering::Relaxed);
     }
@@ -201,16 +204,6 @@ impl PipelineMetrics {
         }
         self.stage[c.stage.index()].inc();
         self.classify_latency.record(elapsed);
-    }
-
-    /// Record an automated query issued to a source.
-    pub fn record_source_query(&self, id: SourceId) {
-        if !self.enabled() {
-            return;
-        }
-        if let Some(i) = source_index(id) {
-            self.source_queries[i].inc();
-        }
     }
 
     /// Record a source match that survived filtering.
@@ -357,11 +350,6 @@ impl PipelineMetrics {
         self.stage.iter().map(|c| c.get()).sum()
     }
 
-    /// Reset every counter and histogram to zero.
-    pub fn reset(&self) {
-        self.registry.reset();
-    }
-
     /// Serializable snapshot of every metric. `cache` supplies current
     /// occupancy (a gauge, synced into `cache.entries` at snapshot time).
     pub fn snapshot(&self, cache: &OrgCache) -> RegistrySnapshot {
@@ -479,31 +467,58 @@ mod tests {
         assert_eq!(snap.histograms["pipeline.classify"].count, 2);
     }
 
+    fn no_match(source: SourceId) -> SourceOutcome {
+        SourceOutcome {
+            source,
+            kind: OutcomeKind::NoMatch,
+            retries: 0,
+        }
+    }
+
     #[test]
     fn disabled_metrics_record_nothing() {
         let m = PipelineMetrics::new();
+        let cache = m.build_cache();
         m.set_enabled(false);
-        m.record_source_query(SourceId::Dnb);
+        m.record_source_outcome(&no_match(SourceId::Dnb));
         m.record_ml(true, Duration::from_micros(1));
         m.record_batch_run(10, 2, Duration::from_millis(1));
         assert_eq!(m.stage_total(), 0);
-        let cache = m.build_cache();
         let snap = m.snapshot(&cache);
         assert!(snap.counters.values().all(|v| *v == 0));
+        // The cache's own traffic counters are not switched off.
+        let key = crate::cache::OrgKey::Name("acme".into());
+        let _ = cache.get(&key);
+        cache.put(
+            key,
+            crate::cache::CachedResult {
+                categories: asdb_taxonomy::CategorySet::new(),
+                provenance: "test".into(),
+            },
+        );
+        let snap = m.snapshot(&cache);
+        assert_eq!(snap.counter("cache.misses"), 1);
+        assert_eq!(snap.counter("cache.inserts"), 1);
+        assert_eq!(snap.counter("cache.hits"), 0);
+        assert_eq!(snap.counter("cache.entries"), 0);
         m.set_enabled(true);
-        m.record_source_query(SourceId::Dnb);
-        assert_eq!(m.snapshot(&cache).counter("source.dnb.queries"), 1);
+        m.record_source_outcome(&no_match(SourceId::Dnb));
+        let snap = m.snapshot(&cache);
+        assert_eq!(snap.counter("source.dnb.queries"), 1);
+        assert_eq!(snap.counter("source.dnb.no_match"), 1);
+        assert_eq!(snap.counter("cache.entries"), 1);
     }
 
     #[test]
     fn non_asdb_sources_are_ignored() {
         let m = PipelineMetrics::new();
-        m.record_source_query(SourceId::ZoomInfo);
         m.record_source_match(SourceId::Clearbit);
+        m.record_source_reject(SourceId::Clearbit);
+        m.record_source_outcome(&no_match(SourceId::ZoomInfo));
         m.record_source_outcome(&SourceOutcome {
-            source: SourceId::ZoomInfo,
-            kind: OutcomeKind::NoMatch,
-            retries: 0,
+            source: SourceId::Clearbit,
+            kind: OutcomeKind::TimedOut,
+            retries: 2,
         });
         let cache = m.build_cache();
         let snap = m.snapshot(&cache);
@@ -534,6 +549,7 @@ mod tests {
             "ml classifier",
             "org cache",
             "batch",
+            "== latency ==",
         ] {
             assert!(text.contains(section), "missing {section}:\n{text}");
         }

@@ -108,8 +108,9 @@ impl Classification {
 }
 
 /// Pipeline feature switches, used by the ablation experiments to measure
-/// what each design choice contributes. Production ASdb runs with
-/// everything on.
+/// what each design choice contributes through
+/// [`AsdbSystem::classify_with`]. Production ASdb runs with everything on
+/// (the default).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PipelineOptions {
     /// Run the ISP/hosting classifiers (Figure 4's Classifier box).
@@ -144,8 +145,6 @@ pub struct AsdbSystem {
     pub sources: SourceSet,
     /// The ISP/hosting classifiers.
     pub ml: MlClassifiers,
-    /// Feature switches (default: everything on).
-    pub options: PipelineOptions,
     web: Arc<SimWeb>,
     domain_counts: Arc<HashMap<Domain, usize>>,
     cache: OrgCache,
@@ -175,7 +174,6 @@ impl AsdbSystem {
         AsdbSystem {
             sources,
             ml,
-            options: PipelineOptions::default(),
             web: Arc::clone(&world.web),
             domain_counts: Arc::clone(world.domain_as_counts()),
             cache,
@@ -244,7 +242,7 @@ impl AsdbSystem {
     /// Run the §5.1 most-likely-domain algorithm for a WHOIS record,
     /// pooling RIR candidate domains with ASN-queryable source domains.
     pub fn select_domain(&self, whois: &ParsedWhois) -> Option<Domain> {
-        self.select_domain_with(whois, self.options.domain_strategy)
+        self.select_domain_with(whois, PipelineOptions::default().domain_strategy)
     }
 
     /// Domain selection with an explicit strategy (ablation entry point).
@@ -271,7 +269,7 @@ impl AsdbSystem {
 
     /// Classify one AS, bypassing the cache (evaluation protocol).
     pub fn classify(&self, whois: &ParsedWhois) -> Classification {
-        self.classify_with(whois, &self.options)
+        self.classify_with(whois, &PipelineOptions::default())
     }
 
     /// Classify with explicit feature switches — the ablation entry point
@@ -422,7 +420,7 @@ impl AsdbSystem {
                 degraded: Vec::new(),
             },
             None => {
-                let c = self.classify_inner(whois, &self.options, Some(chosen));
+                let c = self.classify_inner(whois, &PipelineOptions::default(), Some(chosen));
                 if let Some(k) = key {
                     self.cache.put(
                         k.clone(),

@@ -47,11 +47,6 @@ impl CrowdTask {
             })
             .collect()
     }
-
-    /// Whether the task is answerable at all (some option is correct).
-    pub fn is_answerable(&self) -> bool {
-        !self.correct_options().is_empty()
-    }
 }
 
 #[cfg(test)]
@@ -72,7 +67,6 @@ mod tests {
         let correct = task.correct_options();
         assert_eq!(correct.len(), 1);
         assert_eq!(correct[0].layer2, Some(known::isp()));
-        assert!(task.is_answerable());
     }
 
     #[test]
@@ -84,6 +78,6 @@ mod tests {
             truth: CategorySet::single(known::banks()),
             ease: 0.5,
         };
-        assert!(!task.is_answerable());
+        assert!(task.correct_options().is_empty());
     }
 }

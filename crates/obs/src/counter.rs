@@ -1,4 +1,4 @@
-//! Monotonic (well, resettable) atomic counters.
+//! Atomic event counters.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -42,23 +42,6 @@ impl Counter {
     pub fn store(&self, v: u64) {
         self.value.store(v, Ordering::Relaxed);
     }
-
-    /// Reset to zero, returning the previous value.
-    pub fn reset(&self) -> u64 {
-        self.value.swap(0, Ordering::Relaxed)
-    }
-
-    /// Point-in-time view.
-    pub fn snapshot(&self) -> CounterSnapshot {
-        CounterSnapshot { value: self.get() }
-    }
-}
-
-/// A point-in-time view of a [`Counter`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CounterSnapshot {
-    /// The counter value at snapshot time.
-    pub value: u64,
 }
 
 #[cfg(test)]
@@ -67,14 +50,12 @@ mod tests {
     use std::sync::Arc;
 
     #[test]
-    fn inc_add_get_reset() {
+    fn inc_add_get_store() {
         let c = Counter::new();
         assert_eq!(c.get(), 0);
         c.inc();
         c.add(4);
         assert_eq!(c.get(), 5);
-        assert_eq!(c.reset(), 5);
-        assert_eq!(c.get(), 0);
         c.store(42);
         assert_eq!(c.get(), 42);
     }

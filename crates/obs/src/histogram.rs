@@ -108,15 +108,6 @@ impl Histogram {
         bucket_bound_nanos(BUCKETS - 1)
     }
 
-    /// Reset every bucket to zero.
-    pub fn reset(&self) {
-        for b in &self.buckets {
-            b.store(0, Ordering::Relaxed);
-        }
-        self.count.store(0, Ordering::Relaxed);
-        self.sum_nanos.store(0, Ordering::Relaxed);
-    }
-
     /// Serializable point-in-time view with quantile summaries.
     pub fn snapshot(&self) -> HistogramSnapshot {
         let buckets: Vec<BucketSnapshot> = self
@@ -169,13 +160,6 @@ pub struct HistogramSnapshot {
     pub p99_nanos: u64,
     /// The non-empty buckets, in bound order.
     pub buckets: Vec<BucketSnapshot>,
-}
-
-impl HistogramSnapshot {
-    /// Render `nanos` as a compact human duration (`1.2ms`, `340µs`…).
-    pub fn human(nanos: u64) -> String {
-        format_nanos(nanos)
-    }
 }
 
 /// Render a nanosecond quantity as a compact human-readable duration.
@@ -240,9 +224,7 @@ mod tests {
         assert_eq!(s.count, 2);
         assert_eq!(s.buckets.len(), 2);
         assert!(s.buckets.iter().all(|b| b.count == 1));
-        h.reset();
-        assert_eq!(h.count(), 0);
-        assert!(h.snapshot().buckets.is_empty());
+        assert!(Histogram::new().snapshot().buckets.is_empty());
     }
 
     #[test]

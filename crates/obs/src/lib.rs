@@ -2,9 +2,9 @@
 //!
 //! Pipeline-wide telemetry primitives for the ASdb system: atomic
 //! [`Counter`]s, fixed-bucket log-spaced latency [`Histogram`]s with
-//! p50/p90/p99 summaries, an RAII [`Timer`] guard, and a named-metric
-//! [`Registry`] that renders to both a human-readable table and a JSON
-//! [`RegistrySnapshot`], plus the workspace's [`json`] reader and writer.
+//! p50/p90/p99 summaries, and a named-metric [`Registry`] whose
+//! [`RegistrySnapshot`] renders a latency table and JSON, plus the
+//! workspace's [`json`] reader and writer.
 //!
 //! The paper's own evaluation is an observability exercise — Table 8
 //! breaks classification down by pipeline mechanism, §5.1 reasons about
@@ -27,9 +27,7 @@ pub mod counter;
 pub mod histogram;
 pub mod json;
 pub mod registry;
-pub mod timer;
 
-pub use counter::{Counter, CounterSnapshot};
+pub use counter::Counter;
 pub use histogram::{format_nanos, Histogram, HistogramSnapshot};
 pub use registry::{Registry, RegistrySnapshot};
-pub use timer::Timer;

@@ -1,5 +1,5 @@
-//! Named-metric registry: get-or-create handles, text render, JSON
-//! snapshot.
+//! Named-metric registry: get-or-create handles and a snapshot that
+//! renders a latency table and JSON.
 
 use crate::counter::Counter;
 use crate::histogram::{format_nanos, BucketSnapshot, Histogram, HistogramSnapshot};
@@ -11,9 +11,8 @@ use std::sync::{Arc, RwLock};
 ///
 /// Handles are `Arc`s: instrumented code holds them directly (no lock or
 /// name lookup on the hot path), and the registry retains its own clone so
-/// the whole set can be rendered or snapshotted at any time. Names use a
-/// dotted hierarchy (`pipeline.stage.cached`, `source.dnb.queries`) which
-/// the text renderer groups by first segment.
+/// the whole set can be snapshotted at any time. Names use a dotted
+/// hierarchy (`pipeline.stage.cached`, `source.dnb.queries`).
 #[derive(Debug, Default)]
 pub struct Registry {
     counters: RwLock<BTreeMap<String, Arc<Counter>>>,
@@ -54,26 +53,6 @@ impl Registry {
         )
     }
 
-    /// Names of every registered counter.
-    pub fn counter_names(&self) -> Vec<String> {
-        self.counters
-            .read()
-            .expect("registry lock")
-            .keys()
-            .cloned()
-            .collect()
-    }
-
-    /// Reset every counter and histogram to zero.
-    pub fn reset(&self) {
-        for c in self.counters.read().expect("registry lock").values() {
-            c.reset();
-        }
-        for h in self.histograms.read().expect("registry lock").values() {
-            h.reset();
-        }
-    }
-
     /// Serializable point-in-time view of every metric.
     pub fn snapshot(&self) -> RegistrySnapshot {
         RegistrySnapshot {
@@ -92,12 +71,6 @@ impl Registry {
                 .map(|(k, v)| (k.clone(), v.snapshot()))
                 .collect(),
         }
-    }
-
-    /// Human-readable rendering of the whole registry, grouped by the
-    /// first dotted name segment.
-    pub fn render_text(&self) -> String {
-        self.snapshot().render_text()
     }
 }
 
@@ -202,30 +175,6 @@ impl RegistrySnapshot {
         self.counters.get(name).copied().unwrap_or(0)
     }
 
-    /// Human-readable table, grouped by the first dotted name segment.
-    pub fn render_text(&self) -> String {
-        let mut out = String::new();
-        let mut last_group = "";
-        for (name, value) in &self.counters {
-            let group = name.split('.').next().unwrap_or("");
-            if group != last_group {
-                if !out.is_empty() {
-                    out.push('\n');
-                }
-                out.push_str(&format!("== {group} ==\n"));
-                last_group = group;
-            }
-            out.push_str(&format!("  {name:<42} {value:>10}\n"));
-        }
-        if !self.histograms.is_empty() {
-            if !out.is_empty() {
-                out.push('\n');
-            }
-            out.push_str(&self.render_latency_text());
-        }
-        out
-    }
-
     /// Just the histogram summaries, as a `== latency ==` table.
     pub fn render_latency_text(&self) -> String {
         let mut out = String::new();
@@ -256,7 +205,6 @@ mod tests {
         let b = r.counter("x.hits");
         a.inc();
         assert_eq!(b.get(), 1);
-        assert_eq!(r.counter_names(), vec!["x.hits".to_owned()]);
     }
 
     #[test]
@@ -270,29 +218,5 @@ mod tests {
         assert_eq!(snap, back);
         assert_eq!(back.counter("pipeline.total"), 7);
         assert_eq!(back.histograms["pipeline.latency"].count, 1);
-    }
-
-    #[test]
-    fn render_groups_by_prefix() {
-        let r = Registry::new();
-        r.counter("cache.hits").add(3);
-        r.counter("cache.misses").add(1);
-        r.counter("pipeline.total").add(4);
-        r.histogram("pipeline.classify").record_nanos(2_000_000);
-        let text = r.render_text();
-        assert!(text.contains("== cache =="), "{text}");
-        assert!(text.contains("== pipeline =="), "{text}");
-        assert!(text.contains("== latency =="), "{text}");
-        assert!(text.contains("cache.hits"), "{text}");
-    }
-
-    #[test]
-    fn reset_zeroes_everything() {
-        let r = Registry::new();
-        r.counter("a.b").add(9);
-        r.histogram("a.h").record_nanos(10);
-        r.reset();
-        assert_eq!(r.snapshot().counter("a.b"), 0);
-        assert_eq!(r.snapshot().histograms["a.h"].count, 0);
     }
 }

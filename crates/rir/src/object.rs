@@ -114,11 +114,6 @@ pub struct WhoisRecord {
 }
 
 impl WhoisRecord {
-    /// The `aut-num` object (always the first).
-    pub fn aut_num(&self) -> Option<&RpslObject> {
-        self.objects.first()
-    }
-
     /// The organisation object, if any.
     pub fn organisation(&self) -> Option<&RpslObject> {
         self.objects
@@ -199,7 +194,7 @@ mod tests {
                     .with("abuse-mailbox", "abuse@level3.com"),
             ],
         };
-        assert_eq!(rec.aut_num().unwrap().class(), "aut-num");
+        assert_eq!(rec.objects[0].class(), "aut-num");
         assert_eq!(
             rec.organisation().unwrap().first("org-name"),
             Some("Level 3 Communications")

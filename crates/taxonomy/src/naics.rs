@@ -97,33 +97,6 @@ impl NaicsCode {
             .find(|(c, _, _)| *c == self.value && usize::from(self.digits) == digit_count(*c))
             .map(|(_, t, _)| *t)
     }
-
-    /// Sector title for the code's 2-digit sector.
-    pub fn sector_title(self) -> &'static str {
-        match self.sector() {
-            11 => "Agriculture, Forestry, Fishing and Hunting",
-            21 => "Mining, Quarrying, and Oil and Gas Extraction",
-            22 => "Utilities",
-            23 => "Construction",
-            31..=33 => "Manufacturing",
-            42 => "Wholesale Trade",
-            44 | 45 => "Retail Trade",
-            48 | 49 => "Transportation and Warehousing",
-            51 => "Information",
-            52 => "Finance and Insurance",
-            53 => "Real Estate and Rental and Leasing",
-            54 => "Professional, Scientific, and Technical Services",
-            55 => "Management of Companies and Enterprises",
-            56 => "Administrative and Support and Waste Management",
-            61 => "Educational Services",
-            62 => "Health Care and Social Assistance",
-            71 => "Arts, Entertainment, and Recreation",
-            72 => "Accommodation and Food Services",
-            81 => "Other Services (except Public Administration)",
-            92 => "Public Administration",
-            _ => "Unknown Sector",
-        }
-    }
 }
 
 fn digit_count(v: u32) -> usize {
@@ -456,6 +429,12 @@ mod tests {
         );
     }
 
+    /// The 2-digit NAICS 2017 sectors.
+    const SECTORS: [u32; 24] = [
+        11, 21, 22, 23, 31, 32, 33, 42, 44, 45, 48, 49, 51, 52, 53, 54, 55, 56, 61, 62, 71, 72, 81,
+        92,
+    ];
+
     #[test]
     fn catalog_codes_are_valid_and_unique() {
         let mut seen = std::collections::HashSet::new();
@@ -463,7 +442,7 @@ mod tests {
             assert!(seen.insert(*code), "duplicate catalog code {code}");
             assert!(!title.is_empty());
             let parsed = NaicsCode::new(*code, digit_count(*code) as u8).unwrap();
-            assert_ne!(parsed.sector_title(), "Unknown Sector", "code {code}");
+            assert!(SECTORS.contains(&parsed.sector()), "code {code}");
         }
     }
 
@@ -472,15 +451,6 @@ mod tests {
         let g = confusable_group(NaicsCode::six(335911)).unwrap();
         assert!(g.contains(&334416));
         assert!(confusable_group(NaicsCode::six(722511)).is_none());
-    }
-
-    #[test]
-    fn sector_titles() {
-        assert_eq!(NaicsCode::six(517911).sector_title(), "Information");
-        assert_eq!(
-            NaicsCode::six(622110).sector_title(),
-            "Health Care and Social Assistance"
-        );
     }
 
     #[test]

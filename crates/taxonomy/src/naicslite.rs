@@ -443,10 +443,6 @@ pub mod known {
     pub fn software() -> Layer2 {
         l2(Layer1::ComputerAndIT, 4)
     }
-    /// Computer and IT > Technology Consulting Services.
-    pub fn tech_consulting() -> Layer2 {
-        l2(Layer1::ComputerAndIT, 5)
-    }
     /// Computer and IT > Satellite Communication.
     pub fn satellite() -> Layer2 {
         l2(Layer1::ComputerAndIT, 6)
@@ -458,10 +454,6 @@ pub mod known {
     /// Computer and IT > Internet Exchange Point (IXP).
     pub fn ixp() -> Layer2 {
         l2(Layer1::ComputerAndIT, 8)
-    }
-    /// Computer and IT > Other.
-    pub fn tech_other() -> Layer2 {
-        l2(Layer1::ComputerAndIT, 9)
     }
     /// Education > Colleges, Universities, and Professional Schools.
     pub fn universities() -> Layer2 {
@@ -482,10 +474,6 @@ pub mod known {
     /// Utilities > Electric Power Generation, Transmission, Distribution.
     pub fn electric() -> Layer2 {
         l2(Layer1::Utilities, 0)
-    }
-    /// Government > Government and Regulatory Agencies, ….
-    pub fn gov_agencies() -> Layer2 {
-        l2(Layer1::Government, 2)
     }
     /// Media > Online Informational Content.
     pub fn online_content() -> Layer2 {
@@ -525,11 +513,6 @@ impl Category {
     /// Whether the label carries a layer-2 refinement.
     pub fn has_layer2(self) -> bool {
         self.layer2.is_some()
-    }
-
-    /// Drop the layer-2 refinement.
-    pub fn coarsened(self) -> Category {
-        Category::l1(self.layer1)
     }
 
     /// Whether this is a technology label.
@@ -751,7 +734,7 @@ mod tests {
         let c = Category::l2(known::hosting());
         assert!(c.has_layer2());
         assert!(c.is_tech());
-        let coarse = c.coarsened();
+        let coarse = Category::l1(c.layer1);
         assert!(!coarse.has_layer2());
         assert_eq!(coarse.layer1, Layer1::ComputerAndIT);
     }

@@ -388,15 +388,6 @@ pub fn naics_candidates(l2: Layer2) -> Vec<NaicsCode> {
         .collect()
 }
 
-/// Whether a NAICSlite layer-2 category's NAICS candidates include a
-/// confusable-sibling group (used by the labeler simulation to decide where
-/// NAICS-level disagreement can occur).
-pub fn has_confusable_naics(l2: Layer2) -> bool {
-    naics_candidates(l2)
-        .iter()
-        .any(|c| crate::naics::confusable_group(*c).is_some())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -491,13 +482,6 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn sumida_example_has_confusable_codes() {
-        // Manufacturing > Electronics: the paper's AS56885 example.
-        let l2 = Layer2::new(Layer1::Manufacturing, 5).unwrap();
-        assert!(has_confusable_naics(l2));
     }
 
     #[test]

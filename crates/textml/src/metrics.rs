@@ -138,31 +138,6 @@ impl Metrics {
         let c = truth.iter().zip(pred).filter(|(t, p)| t == p).count();
         c as f64 / truth.len() as f64
     }
-
-    /// Deterministic stratified train/test split: returns (train, test)
-    /// index sets with `test_ratio` of each class in the test set. The
-    /// split is a simple modular stride so it is stable across runs.
-    pub fn stratified_split(labels: &[bool], test_ratio: f64) -> (Vec<usize>, Vec<usize>) {
-        assert!((0.0..=1.0).contains(&test_ratio), "ratio must be in [0,1]");
-        let period = if test_ratio <= 0.0 {
-            usize::MAX
-        } else {
-            (1.0 / test_ratio).round().max(1.0) as usize
-        };
-        let mut train = Vec::new();
-        let mut test = Vec::new();
-        let mut count = [0usize; 2];
-        for (i, &l) in labels.iter().enumerate() {
-            let c = usize::from(l);
-            count[c] += 1;
-            if period != usize::MAX && count[c] % period == 0 {
-                test.push(i);
-            } else {
-                train.push(i);
-            }
-        }
-        (train, test)
-    }
 }
 
 #[cfg(test)]
@@ -218,18 +193,6 @@ mod tests {
     }
 
     #[test]
-    fn stratified_split_respects_ratio() {
-        let labels: Vec<bool> = (0..100).map(|i| i % 4 == 0).collect(); // 25 pos
-        let (train, test) = Metrics::stratified_split(&labels, 0.2);
-        assert_eq!(train.len() + test.len(), 100);
-        let test_pos = test.iter().filter(|&&i| labels[i]).count();
-        // ~20% of 25 positives.
-        assert!((4..=6).contains(&test_pos), "test_pos = {test_pos}");
-        let (_, empty_test) = Metrics::stratified_split(&labels, 0.0);
-        assert!(empty_test.is_empty());
-    }
-
-    #[test]
     fn auc_is_bounded() {
         check::cases(
             CASES,
@@ -242,21 +205,6 @@ mod tests {
                 let n = scores.len().min(flip.len());
                 let auc = Metrics::roc_auc(&scores[..n], &flip[..n]);
                 assert!((0.0..=1.0).contains(&auc));
-            },
-        );
-    }
-
-    #[test]
-    fn split_partitions_indices() {
-        check::cases(
-            CASES,
-            |rng| vec_of(rng, 0..80, |r| r.random_bool(0.5)),
-            |labels| {
-                let (train, test) = Metrics::stratified_split(&labels, 0.25);
-                let mut all: Vec<usize> = train.iter().chain(test.iter()).copied().collect();
-                all.sort_unstable();
-                let expect: Vec<usize> = (0..labels.len()).collect();
-                assert_eq!(all, expect);
             },
         );
     }

@@ -144,11 +144,6 @@ impl TextPipeline {
         self.predict_proba(doc) > 0.5
     }
 
-    /// Probabilities for a batch of documents.
-    pub fn predict_proba_batch(&self, docs: &[&str]) -> Vec<f32> {
-        docs.iter().map(|d| self.predict_proba(d)).collect()
-    }
-
     /// Vocabulary size after fitting.
     pub fn vocab_len(&self) -> usize {
         self.featurizer.vocab_len()
@@ -206,7 +201,7 @@ mod tests {
             "fiber broadband internet provider",
             "banking loans financial branches",
         ];
-        let probs = p.predict_proba_batch(&docs);
+        let probs = docs.map(|d| p.predict_proba(d));
         assert!(probs[0] > probs[1]);
         let labels = [true, false];
         assert!(Metrics::roc_auc(&probs, &labels) > 0.99);

@@ -242,19 +242,6 @@ impl SgdClassifier {
     pub fn bias(&self) -> f32 {
         self.bias
     }
-
-    /// Largest-magnitude positive-class features, for interpretability.
-    pub fn top_features(&self, k: usize) -> Vec<(u32, f32)> {
-        let mut idx: Vec<(u32, f32)> = self
-            .weights
-            .iter()
-            .enumerate()
-            .map(|(i, w)| (i as u32, *w))
-            .collect();
-        idx.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap_or(std::cmp::Ordering::Equal));
-        idx.truncate(k);
-        idx
-    }
 }
 
 /// Fold the lazy scale back into `v`, keeping the averaging bookkeeping
@@ -538,14 +525,6 @@ mod tests {
         let b = SgdClassifier::fit(&xs, &ys, 8, SgdConfig::default(), WorldSeed::new(7));
         assert_eq!(a.weights(), b.weights());
         assert_eq!(a.bias(), b.bias());
-    }
-
-    #[test]
-    fn top_features_point_positive() {
-        let (xs, ys) = toy();
-        let clf = SgdClassifier::fit(&xs, &ys, 8, SgdConfig::default(), WorldSeed::new(4));
-        let top: Vec<u32> = clf.top_features(2).into_iter().map(|(i, _)| i).collect();
-        assert!(top.contains(&0) || top.contains(&1), "top features {top:?}");
     }
 
     #[test]

@@ -83,11 +83,6 @@ impl SimWeb {
         self.unreachable.insert(domain, ());
     }
 
-    /// Whether a domain hosts a working site.
-    pub fn is_live(&self, domain: &Domain) -> bool {
-        self.sites.contains_key(domain)
-    }
-
     /// The site at a domain, if any.
     pub fn site(&self, domain: &Domain) -> Option<&Website> {
         self.sites.get(domain)
@@ -160,10 +155,10 @@ mod tests {
     }
 
     #[test]
-    fn is_live_reflects_hosting() {
+    fn site_reflects_hosting() {
         let w = web();
-        assert!(w.is_live(&Domain::new("live.example").unwrap()));
-        assert!(!w.is_live(&Domain::new("dead.example").unwrap()));
+        assert!(w.site(&Domain::new("live.example").unwrap()).is_some());
+        assert!(w.site(&Domain::new("dead.example").unwrap()).is_none());
         assert_eq!(w.len(), 1);
         assert!(!w.is_empty());
     }

@@ -84,17 +84,6 @@ impl ChurnStream {
         }
     }
 
-    /// Expected updates per week: new ASes plus metadata changes,
-    /// normalized to 7 days — the paper's "average of 140 ASes … updated
-    /// every week" estimate.
-    pub fn expected_weekly_updates(&self, population: usize) -> f64 {
-        let new = self.config.new_ases_per_day * 7.0;
-        let changed = population as f64 * self.config.metadata_change_rate
-            / f64::from(self.config.window_days)
-            * 7.0;
-        new + changed
-    }
-
     fn poisson(&mut self, mean: f64) -> usize {
         // Knuth's algorithm — means here are small (≈ 20).
         let l = (-mean).exp();
@@ -243,7 +232,6 @@ mod tests {
     #[test]
     fn expected_weekly_updates_near_paper_estimate() {
         let (ases, orgs) = population();
-        let n = ases.len();
         let stream = ChurnStream::new(
             ChurnConfig::default(),
             ases,
@@ -253,7 +241,12 @@ mod tests {
         );
         // 21*7 new + 10k*0.04/150*7 changes ≈ 147 + 18.7 — the paper calls
         // this "an average of 140 ASes … every week".
-        let weekly = stream.expected_weekly_updates(n);
+        let days: Vec<DailyChurn> = stream.collect();
+        let updates: usize = days
+            .iter()
+            .map(|d| d.new_ases.len() + d.metadata_changes.len())
+            .sum();
+        let weekly = updates as f64 / days.len() as f64 * 7.0;
         assert!(weekly > 120.0 && weekly < 180.0, "weekly = {weekly}");
     }
 

@@ -114,13 +114,6 @@ impl CategoryMix {
         self.categories[idx]
     }
 
-    /// Sample uniformly from one layer-1 category's subcategories (used by
-    /// the Uniform Gold Standard builder).
-    pub fn sample_within(&self, l1: Layer1, rng: &mut StdRng) -> Layer2 {
-        let subs: Vec<Layer2> = l1.layer2_iter().collect();
-        subs[rng.random_range(0..subs.len())]
-    }
-
     /// Exact probability assigned to a category.
     pub fn probability(&self, l2: Layer2) -> f64 {
         let idx = self
@@ -205,16 +198,5 @@ mod tests {
         let tech_frac = tech as f64 / n as f64;
         assert!((isp_frac - 0.64 * 0.64).abs() < 0.02, "isp = {isp_frac}");
         assert!((tech_frac - 0.64).abs() < 0.02, "tech = {tech_frac}");
-    }
-
-    #[test]
-    fn sample_within_stays_in_layer1() {
-        let mix = CategoryMix::calibrated();
-        let mut rng = CategoryMix::rng(WorldSeed::new(8));
-        for l1 in Layer1::ALL {
-            for _ in 0..20 {
-                assert_eq!(mix.sample_within(l1, &mut rng).layer1, l1);
-            }
-        }
     }
 }

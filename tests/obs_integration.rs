@@ -125,3 +125,34 @@ fn metrics_snapshot_roundtrips_through_json() {
         "registry cache counters are the OrgCache's own"
     );
 }
+
+#[test]
+fn domain_selection_is_metered_once_per_record_that_reaches_it() {
+    // The uncached path selects a domain only after the stage-1 shortcut,
+    // so shortcut records add no §5.1 sample; the cached path selects for
+    // every record while deriving its organization key.
+    let (w, s) = build();
+    let records: Vec<_> = w.ases.iter().take(120).map(|r| r.parsed.clone()).collect();
+    let n = records.len() as u64;
+    let domain = |snap: &RegistrySnapshot| {
+        (
+            snap.counter("domain.selected") + snap.counter("domain.none"),
+            snap.histograms["pipeline.domain_select"].count,
+            snap.counter("pipeline.stage.matched_by_asn"),
+        )
+    };
+    for threads in [1usize, 3] {
+        let (outcomes0, samples0, shortcut0) = domain(&s.metrics_snapshot());
+        let _ = classify_batch(&s, &records, threads);
+        let (outcomes1, samples1, shortcut1) = domain(&s.metrics_snapshot());
+        let shortcut = shortcut1 - shortcut0;
+        assert!(shortcut > 0, "no stage-1 shortcut among {n} records");
+        assert_eq!(outcomes1 - outcomes0, n - shortcut, "{threads} threads");
+        assert_eq!(samples1 - samples0, n - shortcut, "{threads} threads");
+
+        let _ = classify_batch_cached(&s, &records, threads);
+        let (outcomes2, samples2, _) = domain(&s.metrics_snapshot());
+        assert_eq!(outcomes2 - outcomes1, n, "cached, {threads} threads");
+        assert_eq!(samples2 - samples1, n, "cached, {threads} threads");
+    }
+}
