@@ -109,14 +109,18 @@ impl<'a> Maintainer<'a> {
         }
         for asn in &day.metadata_changes {
             if let Some(rec) = self.world.as_record(*asn) {
-                let key = OrgKey::derive(
-                    self.system.select_domain(&rec.parsed).as_ref(),
-                    &rec.parsed.name,
-                );
+                // One metered §5.1 selection gives both the key to
+                // invalidate and the domain the re-classification uses, as
+                // in `classify_cached`.
+                let start = std::time::Instant::now();
+                let (chosen, key) = self.system.select_key(&rec.parsed);
+                let selection = start.elapsed();
                 if let Some(k) = key {
                     self.system.cache().invalidate(&k);
                     self.report.invalidations += 1;
-                    let _ = self.system.classify_cached(&rec.parsed);
+                    let _ = self
+                        .system
+                        .classify_selected(&rec.parsed, chosen, Some(&k), selection);
                 }
             }
         }

@@ -351,11 +351,11 @@ impl PipelineMetrics {
     }
 
     /// Serializable snapshot of every metric. `cache` supplies current
-    /// occupancy (a gauge, synced into `cache.entries` at snapshot time).
+    /// occupancy (a gauge, synced into `cache.entries` at snapshot time
+    /// whether or not metrics are enabled, like the cache's own traffic
+    /// counters beside it).
     pub fn snapshot(&self, cache: &OrgCache) -> RegistrySnapshot {
-        if self.enabled() {
-            self.cache_entries.store(cache.len() as u64);
-        }
+        self.cache_entries.store(cache.len() as u64);
         self.registry.snapshot()
     }
 
@@ -486,7 +486,8 @@ mod tests {
         assert_eq!(m.stage_total(), 0);
         let snap = m.snapshot(&cache);
         assert!(snap.counters.values().all(|v| *v == 0));
-        // The cache's own traffic counters are not switched off.
+        // The cache's own traffic counters and its occupancy gauge are not
+        // switched off.
         let key = crate::cache::OrgKey::Name("acme".into());
         let _ = cache.get(&key);
         cache.put(
@@ -500,7 +501,7 @@ mod tests {
         assert_eq!(snap.counter("cache.misses"), 1);
         assert_eq!(snap.counter("cache.inserts"), 1);
         assert_eq!(snap.counter("cache.hits"), 0);
-        assert_eq!(snap.counter("cache.entries"), 0);
+        assert_eq!(snap.counter("cache.entries"), 1);
         m.set_enabled(true);
         m.record_source_outcome(&no_match(SourceId::Dnb));
         let snap = m.snapshot(&cache);

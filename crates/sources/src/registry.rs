@@ -138,15 +138,10 @@ impl BusinessRegistry {
             .map(|&i| &self.entries[i])
     }
 
-    /// Best name match with its similarity score; the first entry wins a
-    /// tie.
-    pub fn best_name_match(&self, name: &str) -> Option<(&RegistryEntry, f64)> {
-        self.best_name_match_at_least(name, 0.0)
-    }
-
-    /// The entry [`BusinessRegistry::best_name_match`] returns, when its
-    /// score is at least `min`; `None` otherwise. Entries whose score bound
-    /// falls below `min`, or below the best so far, are skipped unscored.
+    /// Best name match with its similarity score, the first entry winning
+    /// a tie, when that score is at least `min`; `None` otherwise. Entries
+    /// whose score bound falls below `min`, or below the best so far, are
+    /// skipped unscored.
     pub fn best_name_match_at_least(&self, name: &str, min: f64) -> Option<(&RegistryEntry, f64)> {
         let leaders = self.scan(&NormName::new(name), |l| {
             l.best.map_or(min, |(_, bs)| bs.max(min))
@@ -416,7 +411,9 @@ mod tests {
         let w = world();
         let reg = dnb_like(&w);
         let entry = reg.iter().nth(3).unwrap().clone();
-        let (found, score) = reg.best_name_match(&entry.listed_name).unwrap();
+        let (found, score) = reg
+            .best_name_match_at_least(&entry.listed_name, 0.0)
+            .unwrap();
         assert_eq!(found.org, entry.org);
         assert!(score > 0.95);
     }

@@ -64,59 +64,50 @@ impl Page {
     /// The buffer is sized exactly, so a hosted page holds no spare
     /// capacity.
     pub fn render(&self) -> String {
-        let mut out = String::with_capacity(self.rendered_len());
-        out.push_str("<html><head><title>");
-        push_escaped(&mut out, &self.title);
-        out.push_str("</title></head><body>");
-        for h in &self.headings {
-            out.push_str("<h1>");
-            push_escaped(&mut out, h);
-            out.push_str("</h1>");
-        }
-        for p in &self.paragraphs {
-            out.push_str("<p>");
-            push_escaped(&mut out, p);
-            out.push_str("</p>");
-        }
-        for l in &self.links {
-            out.push_str("<a href=\"");
-            push_escaped(&mut out, &l.href);
-            out.push_str("\">");
-            push_escaped(&mut out, &l.text);
-            out.push_str("</a>");
-        }
-        for t in &self.image_text {
-            // Text baked into a bitmap: modeled as a data-image whose
-            // content never appears as element text.
-            out.push_str("<img data-baked=\"");
-            push_escaped(&mut out, t);
-            out.push_str("\"/>");
-        }
-        out.push_str("</body></html>");
+        let title = [self.title.as_str()];
+        let mut out = String::with_capacity(frame_len(&title) + self.body_len());
+        push_head(&mut out, &title);
+        self.push_body(&mut out);
+        out.push_str(TAIL);
         out
     }
 
-    /// The byte length of [`Page::render`]'s output: the fixed tags plus
+    /// Append the headings, paragraphs, links and baked images, in that
+    /// order.
+    fn push_body(&self, out: &mut String) {
+        for h in &self.headings {
+            Element::Heading.push(out, h);
+        }
+        for p in &self.paragraphs {
+            Element::Paragraph.push(out, p);
+        }
+        for l in &self.links {
+            out.push_str("<a href=\"");
+            push_escaped(out, &l.href);
+            out.push_str("\">");
+            push_escaped(out, &l.text);
+            out.push_str("</a>");
+        }
+        for t in &self.image_text {
+            Element::BakedImage.push(out, t);
+        }
+    }
+
+    /// The byte length of [`Page::push_body`]'s output: the tags plus
     /// every field's escaped length.
-    fn rendered_len(&self) -> usize {
-        const FRAME: usize = "<html><head><title></title></head><body></body></html>".len();
-        const HEADING: usize = "<h1></h1>".len();
-        const PARAGRAPH: usize = "<p></p>".len();
+    fn body_len(&self) -> usize {
         const LINK: usize = "<a href=\"\"></a>".len();
-        const IMAGE: usize = "<img data-baked=\"\"/>".len();
-        let fields = |items: &[String], tags: usize| {
-            items.iter().map(|s| tags + escaped_len(s)).sum::<usize>()
+        let fields = |element: Element, items: &[String]| {
+            items.iter().map(|s| element.len(s)).sum::<usize>()
         };
-        FRAME
-            + escaped_len(&self.title)
-            + fields(&self.headings, HEADING)
-            + fields(&self.paragraphs, PARAGRAPH)
+        fields(Element::Heading, &self.headings)
+            + fields(Element::Paragraph, &self.paragraphs)
             + self
                 .links
                 .iter()
                 .map(|l| LINK + escaped_len(&l.href) + escaped_len(&l.text))
                 .sum::<usize>()
-            + fields(&self.image_text, IMAGE)
+            + fields(Element::BakedImage, &self.image_text)
     }
 
     /// Parse markup produced by [`Page::render`] (or anything structurally
@@ -169,6 +160,82 @@ impl Page {
     }
 }
 
+/// The markup before a page's title, between its title and its body, and
+/// after its body.
+const HEAD: &str = "<html><head><title>";
+const BODY: &str = "</title></head><body>";
+const TAIL: &str = "</body></html>";
+
+/// The byte length of a page's frame around its body: the fixed tags plus
+/// the escaped title, given in `title` as parts to concatenate.
+fn frame_len(title: &[&str]) -> usize {
+    HEAD.len() + title.iter().map(|t| escaped_len(t)).sum::<usize>() + BODY.len() + TAIL.len()
+}
+
+/// Append the markup up to the body: the head with the concatenated
+/// `title` parts escaped (escaping works byte by byte, so the parts can be
+/// escaped one at a time).
+fn push_head(out: &mut String, title: &[&str]) {
+    out.push_str(HEAD);
+    for part in title {
+        push_escaped(out, part);
+    }
+    out.push_str(BODY);
+}
+
+/// The markup of a page titled with the concatenated `title` parts whose
+/// body is one `lead` element holding `text`, then `block`, body elements
+/// rendered beforehand. Byte-equal to [`Page::render`] of the page with
+/// that title, lead element and the block's elements, in one exactly
+/// sized buffer. The site generator renders the body a site's internal
+/// pages share once and passes it to each of them as `block`.
+pub(crate) fn render_page(title: &[&str], lead: Element, text: &str, block: &str) -> String {
+    let mut out = String::with_capacity(frame_len(title) + lead.len(text) + block.len());
+    push_head(&mut out, title);
+    lead.push(&mut out, text);
+    out.push_str(block);
+    out.push_str(TAIL);
+    out
+}
+
+/// A body element holding one escaped text: how [`Page::render`] writes
+/// a heading, a paragraph or a baked image.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Element {
+    /// `<h1>…</h1>`.
+    Heading,
+    /// `<p>…</p>`.
+    Paragraph,
+    /// Text baked into a bitmap: modeled as a data-image whose content
+    /// never appears as element text.
+    BakedImage,
+}
+
+impl Element {
+    /// The markup before and after the text.
+    fn tags(self) -> (&'static str, &'static str) {
+        match self {
+            Element::Heading => ("<h1>", "</h1>"),
+            Element::Paragraph => ("<p>", "</p>"),
+            Element::BakedImage => ("<img data-baked=\"", "\"/>"),
+        }
+    }
+
+    /// Append this element holding `text`, escaped.
+    pub(crate) fn push(self, out: &mut String, text: &str) {
+        let (open, close) = self.tags();
+        out.push_str(open);
+        push_escaped(out, text);
+        out.push_str(close);
+    }
+
+    /// The byte length of what [`Element::push`] appends for `text`.
+    fn len(self, text: &str) -> usize {
+        let (open, close) = self.tags();
+        open.len() + escaped_len(text) + close.len()
+    }
+}
+
 /// The element text before `close` and the input after it, when the first
 /// `<` in `input` starts `close` (ignoring ASCII case). Any other tag before
 /// the close tag means this element was never properly closed: it is
@@ -208,8 +275,41 @@ fn entity(b: u8) -> Option<&'static str> {
     }
 }
 
+/// Whether `b` is one of the escaped bytes `&`, `<`, `>` and `"`. Setting
+/// bit 1 maps `<` and `>` alike to `>`, and setting bit 2 maps `"` and `&`
+/// alike to `&`, so two comparisons cover the four.
+fn is_escaped(b: u8) -> bool {
+    b | 2 == b'>' || b | 4 == b'&'
+}
+
+/// Whether `s` holds no escaped byte, tested eight bytes at a time with
+/// [`is_escaped`]'s two comparisons done on every byte of a word at once.
+/// Nearly all text has nothing to escape, and then this one scan is all
+/// escaping costs.
+fn nothing_to_escape(s: &str) -> bool {
+    const fn splat(b: u8) -> u64 {
+        u64::from_ne_bytes([b; 8])
+    }
+    /// The high bit of every zero byte of `v`, exactly: the low seven bits
+    /// of a byte are added without carrying into the next byte.
+    fn zero_bytes(v: u64) -> u64 {
+        !(((v & splat(0x7F)) + splat(0x7F)) | v | splat(0x7F))
+    }
+    let mut chunks = s.as_bytes().chunks_exact(8);
+    let mut found = 0;
+    for chunk in &mut chunks {
+        let x = u64::from_ne_bytes(chunk.try_into().expect("eight bytes"));
+        found |=
+            zero_bytes((x | splat(2)) ^ splat(b'>')) | zero_bytes((x | splat(4)) ^ splat(b'&'));
+    }
+    found == 0 && !chunks.remainder().iter().any(|&b| is_escaped(b))
+}
+
 /// The length of `s` once escaped: each escaped byte becomes its entity.
 fn escaped_len(s: &str) -> usize {
+    if nothing_to_escape(s) {
+        return s.len();
+    }
     s.len()
         + s.bytes()
             .filter_map(entity)
@@ -217,9 +317,14 @@ fn escaped_len(s: &str) -> usize {
             .sum::<usize>()
 }
 
-/// Append `s` to `out` with `&`, `<`, `>` and `"` escaped, copying the
-/// runs between escaped bytes whole.
+/// Append `s` to `out` with `&`, `<`, `>` and `"` escaped: text with
+/// nothing to escape in one piece, other text in the runs between
+/// escaped bytes.
 fn push_escaped(out: &mut String, s: &str) {
+    if nothing_to_escape(s) {
+        out.push_str(s);
+        return;
+    }
     let mut run = 0;
     for (i, b) in s.bytes().enumerate() {
         if let Some(e) = entity(b) {

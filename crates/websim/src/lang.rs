@@ -74,18 +74,27 @@ impl Language {
     /// and the separators are copied as they are. One exactly sized
     /// output buffer, no per-word `String`.
     pub fn mangle_text(self, text: &str) -> String {
-        let marker = self.marker();
-        let words = text.split([' ', '\n']).filter(|w| !w.is_empty()).count();
-        let mut out = String::with_capacity(text.len() + words * marker.len());
-        for piece in text.split_inclusive([' ', '\n']) {
-            let word = piece.trim_end_matches([' ', '\n']);
-            out.push_str(word);
-            if !word.is_empty() {
-                out.push_str(marker);
-            }
-            out.push_str(&piece[word.len()..]);
-        }
+        let words = word_ends(text).count();
+        let mut out = String::with_capacity(text.len() + words * self.marker().len());
+        self.push_mangled(&mut out, text);
         out
+    }
+
+    /// Append [`Language::mangle_text`] of `text` to `out`: each word with
+    /// the text before it, then the marker. English text is copied whole.
+    pub(crate) fn push_mangled(self, out: &mut String, text: &str) {
+        let marker = self.marker();
+        if marker.is_empty() {
+            out.push_str(text);
+            return;
+        }
+        let mut copied = 0;
+        for end in word_ends(text) {
+            out.push_str(&text[copied..end]);
+            out.push_str(marker);
+            copied = end;
+        }
+        out.push_str(&text[copied..]);
     }
 
     /// Detect the language of a text by its dominant suffix marker,
@@ -142,6 +151,25 @@ impl Language {
             Language::English
         }
     }
+}
+
+/// The end of each word of [`Language::mangle_text`]: the index after
+/// every maximal run of bytes other than `b' '` and `b'\n'`. Both are
+/// ASCII, so they never occur inside a multi-byte char and each end is a
+/// char boundary.
+fn word_ends(text: &str) -> impl Iterator<Item = usize> + '_ {
+    let separator = |b: u8| b == b' ' || b == b'\n';
+    let bytes = text.as_bytes();
+    let mut in_word = false;
+    bytes
+        .iter()
+        .chain([&b' '])
+        .enumerate()
+        .filter_map(move |(i, &b)| {
+            let ends = in_word && separator(b);
+            in_word = !separator(b);
+            ends.then_some(i)
+        })
 }
 
 /// The index of the first byte at or after `i` that is an ASCII control or

@@ -14,7 +14,7 @@
 //! * `misleading_vocab`: the ASN 133002 trap — a non-tech site written with
 //!   cloud/performance vocabulary.
 
-use crate::html::{Link, Page};
+use crate::html::{self, Element, Link, Page};
 use crate::lang::Language;
 use crate::vocab::{self, BOILERPLATE, INTERNAL_PAGES};
 use asdb_model::{Domain, WorldSeed};
@@ -105,22 +105,37 @@ impl Website {
             };
         }
 
-        let words: Vec<&'static str> = if spec.quirks.misleading_vocab {
+        let words = if spec.quirks.misleading_vocab {
             trap_vocabulary(spec.category)
         } else {
             vocab::vocabulary(spec.category)
-        }
-        .to_vec();
+        };
 
         // Homepage: title carries the org name (domain matching signal),
         // body carries a *light* sample of category vocabulary — the meat
         // is on internal pages ("many pages include service descriptions on
         // inner pages rather than the homepage").
-        let home_sentences = compose_sentences(&mut rng, &words, 3, 6);
-        let deep_sentences = compose_sentences(&mut rng, &words, 10, 9);
+        let home_sentences = compose_sentences(&mut rng, words, 3, 6);
+        // Every internal page ends with the same ten deep sentences, as
+        // paragraphs or as baked images: write them in the site language
+        // and render them once, reusing two buffers.
+        let deep = if spec.quirks.text_in_images {
+            Element::BakedImage
+        } else {
+            Element::Paragraph
+        };
+        let mut deep_block = String::new();
+        let (mut sentence, mut translated) = (String::new(), String::new());
+        for _ in 0..10 {
+            sentence.clear();
+            push_sentence(&mut rng, words, 9, &mut sentence);
+            translated.clear();
+            spec.language.push_mangled(&mut translated, &sentence);
+            deep.push(&mut deep_block, &translated);
+        }
 
         let mut home = Page {
-            title: format!("{} — {}", spec.org_name, tagline(&mut rng, &words)),
+            title: format!("{} — {}", spec.org_name, tagline(&mut rng, words)),
             headings: vec![format!("Welcome to {}", spec.org_name)],
             ..Page::default()
         };
@@ -132,49 +147,42 @@ impl Website {
             home.paragraphs = home_sentences;
         }
 
-        // Internal pages with keyword-bearing anchor titles.
+        // Internal pages with keyword-bearing anchor titles: each is its
+        // own title and lead element (the anchor as a heading, or one
+        // boilerplate paragraph above the baked images), then the shared
+        // deep block.
         let n_internal = rng.random_range(2..=INTERNAL_PAGES.len());
-        let chosen: Vec<&(&str, &str)> = INTERNAL_PAGES.iter().take(n_internal).collect();
-        for (path, anchor) in &chosen {
+        for &(path, anchor) in &INTERNAL_PAGES[..n_internal] {
             if !spec.quirks.unlinked_internal {
                 home.links.push(Link {
-                    href: (*path).to_owned(),
-                    text: (*anchor).to_owned(),
+                    href: path.to_owned(),
+                    text: anchor.to_owned(),
                 });
             }
-            let body = if spec.quirks.text_in_images {
-                Page {
-                    title: format!("{} | {}", anchor, spec.org_name),
-                    image_text: deep_sentences.clone(),
-                    paragraphs: compose_sentences(&mut rng, BOILERPLATE, 1, 5),
-                    ..Page::default()
-                }
+            let (lead, text) = if spec.quirks.text_in_images {
+                sentence.clear();
+                push_sentence(&mut rng, BOILERPLATE, 5, &mut sentence);
+                (Element::Paragraph, sentence.as_str())
             } else {
-                Page {
-                    title: format!("{} | {}", anchor, spec.org_name),
-                    headings: vec![(*anchor).to_owned()],
-                    paragraphs: deep_sentences.clone(),
-                    ..Page::default()
-                }
+                (Element::Heading, anchor)
             };
-            pages.insert((*path).to_owned(), render_in_language(body, spec.language));
+            translated.clear();
+            spec.language.push_mangled(&mut translated, text);
+            let title = [anchor, " | ", spec.org_name.as_str()];
+            let markup = html::render_page(&title, lead, &translated, &deep_block);
+            pages.insert(path.to_owned(), markup);
         }
         // An uninformative decoy link (privacy policy) is always present.
         home.links.push(Link {
             href: "/privacy".to_owned(),
             text: "Privacy policy".to_owned(),
         });
-        pages.insert(
-            "/privacy".to_owned(),
-            render_in_language(
-                Page {
-                    title: format!("Privacy policy | {}", spec.org_name),
-                    paragraphs: vec!["We respect your privacy and protect your data.".into()],
-                    ..Page::default()
-                },
-                spec.language,
-            ),
-        );
+        translated.clear();
+        let privacy = "We respect your privacy and protect your data.";
+        spec.language.push_mangled(&mut translated, privacy);
+        let title = ["Privacy policy | ", spec.org_name.as_str()];
+        let markup = html::render_page(&title, Element::Paragraph, &translated, "");
+        pages.insert("/privacy".to_owned(), markup);
         pages.insert("/".to_owned(), render_in_language(home, spec.language));
         Website {
             domain: spec.domain.clone(),
@@ -213,22 +221,33 @@ fn tagline(rng: &mut StdRng, words: &[&str]) -> String {
     format!("{a} and {b}")
 }
 
+/// `n` sentences of [`push_sentence`], each in its own `String`.
 fn compose_sentences(rng: &mut StdRng, words: &[&str], n: usize, len: usize) -> Vec<String> {
     (0..n)
         .map(|_| {
-            let mut sentence: Vec<&str> = Vec::with_capacity(len + 2);
-            for _ in 0..len {
-                sentence.push(words.choose(rng).copied().unwrap_or("services"));
-            }
-            // Mix in light boilerplate so documents aren't pure topic words.
-            if rng.random_bool(0.5) {
-                sentence.push(BOILERPLATE.choose(rng).copied().unwrap_or("quality"));
-            }
-            let mut s = sentence.join(" ");
-            s.push('.');
+            // Room for `len` words of the usual length without regrowing.
+            let mut s = String::with_capacity(12 * len);
+            push_sentence(rng, words, len, &mut s);
             s
         })
         .collect()
+}
+
+/// Append a sentence of `len` words drawn from `words`, followed by a
+/// boilerplate word half the time and ended with a full stop.
+fn push_sentence(rng: &mut StdRng, words: &[&str], len: usize, out: &mut String) {
+    for k in 0..len {
+        if k > 0 {
+            out.push(' ');
+        }
+        out.push_str(words.choose(rng).copied().unwrap_or("services"));
+    }
+    // Mix in light boilerplate so documents aren't pure topic words.
+    if rng.random_bool(0.5) {
+        out.push(' ');
+        out.push_str(BOILERPLATE.choose(rng).copied().unwrap_or("quality"));
+    }
+    out.push('.');
 }
 
 /// The trap vocabulary for a misleading site of the given true category.

@@ -211,11 +211,6 @@ impl AsGraph {
         self.peers.get(&asn).map(Vec::as_slice).unwrap_or(&[])
     }
 
-    /// Total degree (providers + customers + peers).
-    pub fn degree(&self, asn: Asn) -> usize {
-        self.providers(asn).len() + self.customers(asn).len() + self.peers(asn).len()
-    }
-
     /// Size of the customer cone (the AS plus everything reachable through
     /// customer edges) — the classic transit-size statistic.
     pub fn customer_cone(&self, asn: Asn) -> usize {
@@ -365,7 +360,9 @@ mod tests {
         let a = AsGraph::generate(&w, WorldSeed::new(58));
         let b = AsGraph::generate(&w, WorldSeed::new(58));
         for rec in &w.ases {
-            assert_eq!(a.degree(rec.asn), b.degree(rec.asn));
+            assert_eq!(a.providers(rec.asn), b.providers(rec.asn));
+            assert_eq!(a.customers(rec.asn), b.customers(rec.asn));
+            assert_eq!(a.peers(rec.asn), b.peers(rec.asn));
             assert_eq!(a.role(rec.asn), b.role(rec.asn));
         }
     }

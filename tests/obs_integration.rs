@@ -3,9 +3,11 @@
 //! and the JSON metrics snapshot round-trips.
 
 use asdb_core::batch::{classify_batch, classify_batch_cached};
+use asdb_core::maintain::Maintainer;
 use asdb_core::{AsdbSystem, Stage};
-use asdb_model::WorldSeed;
+use asdb_model::{Date, WorldSeed};
 use asdb_obs::RegistrySnapshot;
+use asdb_worldgen::churn::{ChurnConfig, ChurnStream};
 use asdb_worldgen::{World, WorldConfig};
 
 fn build() -> (World, AsdbSystem) {
@@ -130,7 +132,8 @@ fn metrics_snapshot_roundtrips_through_json() {
 fn domain_selection_is_metered_once_per_record_that_reaches_it() {
     // The uncached path selects a domain only after the stage-1 shortcut,
     // so shortcut records add no §5.1 sample; the cached path selects for
-    // every record while deriving its organization key.
+    // every record while deriving its organization key, and so does
+    // upkeep.
     let (w, s) = build();
     let records: Vec<_> = w.ases.iter().take(120).map(|r| r.parsed.clone()).collect();
     let n = records.len() as u64;
@@ -155,4 +158,27 @@ fn domain_selection_is_metered_once_per_record_that_reaches_it() {
         assert_eq!(outcomes2 - outcomes1, n, "cached, {threads} threads");
         assert_eq!(samples2 - samples1, n, "cached, {threads} threads");
     }
+
+    // Upkeep selects once per new AS and once per metadata change: the
+    // selection that derives the key to invalidate also serves the
+    // re-classification.
+    let stream = ChurnStream::new(
+        ChurnConfig {
+            window_days: 14,
+            ..ChurnConfig::default()
+        },
+        w.asns(),
+        w.orgs.iter().map(|o| o.id).collect(),
+        Date::from_ymd(2020, 10, 1).unwrap(),
+        WorldSeed::new(33),
+    );
+    let mut m = Maintainer::new(&s, &w);
+    let (outcomes0, samples0, _) = domain(&s.metrics_snapshot());
+    m.run(stream);
+    let (outcomes1, samples1, _) = domain(&s.metrics_snapshot());
+    let r = m.report();
+    assert!(r.invalidations > 0, "no metadata change in the stream");
+    let selections = (r.new_ases + r.invalidations) as u64;
+    assert_eq!(outcomes1 - outcomes0, selections, "churn");
+    assert_eq!(samples1 - samples0, selections, "churn");
 }
