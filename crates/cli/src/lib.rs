@@ -112,6 +112,10 @@ impl fmt::Display for CliError {
 
 impl std::error::Error for CliError {}
 
+/// The largest `--threads` value accepted. Each worker is one OS thread,
+/// so an unchecked count could ask for one thread per record.
+const MAX_THREADS: usize = 256;
+
 /// The usage text.
 pub const USAGE: &str = "\
 asdb — reproduction of 'ASdb: A System for Classifying Owners of Autonomous Systems' (IMC '21)
@@ -130,7 +134,8 @@ USAGE:
   asdb help
 
 Defaults: --scale small, --seed = the canonical experiment seed, --threads 4.
-The batch scheduler cuts the input into ~4 chunks per worker.
+--threads N takes N in 1..=256. The batch scheduler cuts the input into ~4
+chunks per worker.
 
 The metrics subcommand classifies every AS in the world (with the
 organization cache) and prints the pipeline telemetry report: per-stage
@@ -202,10 +207,15 @@ impl Command {
                 }
                 "--threads" => {
                     let v = value(&mut i, "--threads")?;
-                    threads = v
+                    let n = v
                         .parse::<usize>()
-                        .map_err(|_| CliError(format!("invalid thread count {v:?}")))?
-                        .max(1);
+                        .map_err(|_| CliError(format!("invalid thread count {v:?}")))?;
+                    if !(1..=MAX_THREADS).contains(&n) {
+                        return Err(CliError(format!(
+                            "thread count {n} out of range; use 1..={MAX_THREADS}"
+                        )));
+                    }
+                    threads = n;
                 }
                 "--fault-rate" => {
                     let v = value(&mut i, "--fault-rate")?;
@@ -570,6 +580,26 @@ mod tests {
             other => panic!("parsed {other:?}"),
         }
         assert!(parse(&["metrics", "--metrics"]).is_err());
+    }
+
+    #[test]
+    fn thread_count_must_be_in_range() {
+        assert!(USAGE.contains(&format!("--threads N takes N in 1..={MAX_THREADS}")));
+        for sub in ["classify", "metrics"] {
+            for n in ["1", "256"] {
+                assert!(parse(&[sub, "--threads", n]).is_ok(), "{sub} --threads {n}");
+            }
+            for n in ["0", "257", "4537", "18446744073709551615"] {
+                let err = parse(&[sub, "--threads", n]).unwrap_err();
+                assert!(err.0.contains("out of range"), "{sub} --threads {n}: {err}");
+            }
+            for n in ["-1", "x", "1.5"] {
+                assert!(
+                    parse(&[sub, "--threads", n]).is_err(),
+                    "{sub} --threads {n}"
+                );
+            }
+        }
     }
 
     #[test]

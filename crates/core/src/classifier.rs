@@ -55,7 +55,7 @@ impl MlVerdict {
 
 impl MlClassifiers {
     /// Assemble the §4.1 training set from a world and train both
-    /// classifiers over one shared featurizer.
+    /// classifiers over one shared featurizer, all on the calling thread.
     pub fn train(world: &World, seed: WorldSeed) -> MlClassifiers {
         let translator = Translator::new(
             world.config.web.translation_loss,
@@ -69,24 +69,13 @@ impl MlClassifiers {
         let (featurizer, features) =
             TextFeaturizer::fit_transform(&doc_refs, config.vectorizer.clone());
         let n_features = featurizer.vocab_len();
-        // The two ensembles share the features but nothing else: train them
-        // on parallel threads. Each fit is deterministic in its own derived
-        // seed, so the result is identical to sequential training.
-        let (isp, hosting) = std::thread::scope(|s| {
-            let isp_handle = s.spawn(|| {
-                config.fit_ensemble(&features, &isp_labels, n_features, seed.derive("isp-clf"))
-            });
-            let hosting = config.fit_ensemble(
-                &features,
-                &hosting_labels,
-                n_features,
-                seed.derive("hosting-clf"),
-            );
-            (
-                isp_handle.join().expect("isp classifier training panicked"),
-                hosting,
-            )
-        });
+        let isp = config.fit_ensemble(&features, &isp_labels, n_features, seed.derive("isp-clf"));
+        let hosting = config.fit_ensemble(
+            &features,
+            &hosting_labels,
+            n_features,
+            seed.derive("hosting-clf"),
+        );
         MlClassifiers {
             featurizer,
             isp,
@@ -106,9 +95,10 @@ impl MlClassifiers {
         Some(self.classify_text(&self.translator.translate(&res.text)))
     }
 
-    /// Classify pre-scraped, pre-translated text (used by benches to
-    /// isolate inference cost). The text is featurized once for both
-    /// detectors.
+    /// Classify pre-scraped, pre-translated text: the second half of
+    /// [`MlClassifiers::classify`]. perfbench's replay calls it on its own
+    /// to time inference apart from the scrape. The text is featurized
+    /// once for both detectors.
     pub fn classify_text(&self, text: &str) -> MlVerdict {
         let x = self.featurizer.featurize(text);
         MlVerdict {

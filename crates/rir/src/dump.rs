@@ -3,11 +3,8 @@
 //! ASdb ingests bulk WHOIS: per-registry dump files containing thousands of
 //! records. This module renders and re-reads multi-record dumps, with a
 //! registry banner line (`% <rir> bulk dump`) so a combined file can carry
-//! records from all five registries. Framing is line-oriented text; an
-//! incremental reader ([`StreamingReader`]) supports feeding the parser
-//! from a network stream in arbitrary chunks, as a production pipeline
-//! consuming RIR FTP mirrors would, and returns the same records as
-//! [`read_dump`] on the whole input.
+//! records from all five registries. Framing is line-oriented text, read
+//! whole: [`read_dump`] takes the complete dump.
 
 use crate::object::{RpslObject, WhoisRecord};
 use crate::parse::parse_dump;
@@ -106,112 +103,11 @@ fn object_asn(obj: &RpslObject) -> Option<Asn> {
         .and_then(|v| Asn::from_str(v).ok())
 }
 
-/// Incremental dump reader for streaming input: feed arbitrary byte chunks,
-/// poll complete records as they become available. A record is complete
-/// once the *next* record's `aut-num`/`asnumber` object has been seen
-/// whole (or at end of input), so connected objects that follow a
-/// record's `aut-num` are never split off it.
-#[derive(Debug)]
-pub struct StreamingReader {
-    buf: Vec<u8>,
-    rir: Rir,
-}
-
-impl Default for StreamingReader {
-    fn default() -> Self {
-        StreamingReader::new()
-    }
-}
-
-impl StreamingReader {
-    /// New reader; records before any banner attribute to RIPE.
-    pub fn new() -> StreamingReader {
-        StreamingReader {
-            buf: Vec::new(),
-            rir: Rir::Ripe,
-        }
-    }
-
-    /// Feed a chunk of bytes.
-    pub fn feed(&mut self, chunk: &[u8]) {
-        self.buf.extend_from_slice(chunk);
-    }
-
-    /// Extract all records that are definitely complete: everything before
-    /// the start of the last whole record-opening object is settled.
-    /// Call [`StreamingReader::finish`] at end of input for the tail.
-    pub fn poll(&mut self) -> Vec<WhoisRecord> {
-        let settled_end = last_record_start(&self.buf);
-        if settled_end == 0 {
-            return Vec::new();
-        }
-        let settled = String::from_utf8_lossy(&self.buf[..settled_end]).into_owned();
-        self.buf.drain(..settled_end);
-        self.consume_text(&settled)
-    }
-
-    /// Consume any remaining buffered input as the final records.
-    pub fn finish(mut self) -> Vec<WhoisRecord> {
-        let rest = String::from_utf8_lossy(&self.buf).into_owned();
-        self.buf.clear();
-        self.consume_text(&rest)
-    }
-
-    fn consume_text(&mut self, text: &str) -> Vec<WhoisRecord> {
-        // Track banner transitions across chunks.
-        let mut combined = format!("% {} bulk dump\n\n", self.rir.name());
-        combined.push_str(text);
-        let recs = read_dump(&combined);
-        if let Some(last) = recs.last() {
-            self.rir = last.rir;
-        }
-        // Also pick up a trailing banner with no records after it yet.
-        for line in text.lines().rev() {
-            if let Some(rest) = line.strip_prefix('%') {
-                if let Some(name) = rest.trim().strip_suffix("bulk dump") {
-                    if let Ok(r) = Rir::from_str(name.trim()) {
-                        self.rir = r;
-                        break;
-                    }
-                }
-            }
-        }
-        recs
-    }
-}
-
-/// Byte offset where the last record-opening object in `data` starts (0
-/// when there is none). Only objects already closed by a blank line count,
-/// and each is judged by the same parse [`read_dump`] uses, so a settled
-/// record can never gain another object later.
-fn last_record_start(data: &[u8]) -> usize {
-    let (mut start, mut object_start, mut pos) = (0, 0, 0);
-    for line in data.split_inclusive(|&b| b == b'\n') {
-        if !line.ends_with(b"\n") {
-            break;
-        }
-        pos += line.len();
-        if String::from_utf8_lossy(line).trim().is_empty() {
-            let object = String::from_utf8_lossy(&data[object_start..pos]);
-            if parse_dump(&object)
-                .objects
-                .iter()
-                .any(|o| object_asn(o).is_some())
-            {
-                start = object_start;
-            }
-            object_start = pos;
-        }
-    }
-    start
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::dialect::{serialize, Registration};
     use rand::check::{self, any_string, CASES};
-    use rand::RngExt;
 
     fn sample_records() -> Vec<WhoisRecord> {
         let mut recs = Vec::new();
@@ -272,50 +168,12 @@ mod tests {
     }
 
     #[test]
-    fn streaming_reader_matches_batch() {
-        let recs = sample_records();
-        let text = write_dump(&recs);
-        let batch = read_dump(&text);
-        assert!(
-            batch.iter().any(|r| r.objects.len() > 1),
-            "sample has no record with connected objects"
-        );
-        // Awkward chunk sizes, down to one byte, and the whole input.
-        for size in [1, 7, 64, text.len()] {
-            let mut reader = StreamingReader::new();
-            let mut streamed = Vec::new();
-            for chunk in text.as_bytes().chunks(size) {
-                reader.feed(chunk);
-                streamed.extend(reader.poll());
-            }
-            streamed.extend(reader.finish());
-            assert_eq!(streamed, batch, "{size}-byte chunks");
-        }
-    }
-
-    #[test]
     fn read_dump_never_panics() {
         check::cases(
             CASES,
             |rng| any_string(rng, 0..=1000),
             |s| {
                 let _ = read_dump(&s);
-            },
-        );
-    }
-
-    #[test]
-    fn streaming_never_panics() {
-        check::cases(
-            CASES,
-            |rng| (any_string(rng, 0..=500), rng.random_range(1usize..32)),
-            |(s, chunk)| {
-                let mut r = StreamingReader::new();
-                for c in s.as_bytes().chunks(chunk) {
-                    r.feed(c);
-                    let _ = r.poll();
-                }
-                let _ = r.finish();
             },
         );
     }

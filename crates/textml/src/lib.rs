@@ -20,8 +20,8 @@
 //!   (scikit-learn-compatible formulas, since the original pipeline is
 //!   scikit-learn),
 //! * [`sgd`]: binary linear classifiers trained by stochastic gradient
-//!   descent (log-loss or hinge, L2 regularization, optional averaging),
-//!   plus a seeded bagging [`sgd::SgdEnsemble`],
+//!   descent (log loss, L2 regularization, iterate averaging), plus a
+//!   seeded bagging [`sgd::SgdEnsemble`],
 //! * [`metrics`]: accuracy, precision/recall/F1, confusion matrices, and
 //!   rank-based ROC AUC,
 //! * [`pipeline`]: the shared text → TF-IDF featurizer and the end-to-end
@@ -37,9 +37,10 @@
 //! [`sgd`]'s module docs for the math), tokenization is zero-copy
 //! ([`tokenize::tokens`] to fit, [`tokenize::for_each_word`] to
 //! transform: a page's words probe the vocabulary directly, which holds
-//! no stopword or number to filter), and the ensemble fits its members on
-//! parallel threads. The pre-optimization
-//! implementations are retained in test builds as differential oracles.
+//! no stopword or number to filter). Training is serial: the ensemble
+//! fits its members one after another on the calling thread. The
+//! pre-optimization implementations are retained in test builds as
+//! differential oracles.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -55,7 +56,7 @@ pub mod vectorize;
 pub use cv::{cross_validate, CvResult};
 pub use metrics::{BinaryConfusion, Metrics};
 pub use pipeline::{TextFeaturizer, TextPipeline};
-pub use sgd::{Loss, SgdClassifier, SgdEnsemble};
+pub use sgd::{SgdClassifier, SgdEnsemble};
 pub use tfidf::TfidfTransformer;
 pub use tokenize::{for_each_word, tokens};
 pub use vectorize::{CountVectorizer, SparseVec};

@@ -21,8 +21,9 @@ pub struct PipelineConfig {
 
 impl PipelineConfig {
     /// The configuration used for ASdb's ISP/hosting detectors: a small
-    /// ensemble of averaged logistic SGD models, mirroring the paper's
-    /// "model uses 6 CPU cores and 5 seconds to train" scale.
+    /// ensemble of averaged logistic SGD models. The paper's "model uses 6
+    /// CPU cores and 5 seconds to train"; this one fits on one thread in
+    /// a few milliseconds.
     pub fn asdb_default() -> PipelineConfig {
         PipelineConfig {
             vectorizer: VectorizerConfig {
@@ -106,7 +107,7 @@ pub struct TextPipeline {
 
 impl TextPipeline {
     /// Fit the full pipeline on labeled documents. The ensemble trains its
-    /// members on parallel threads with the O(nnz) lazy-scaled SGD.
+    /// members one after another with the O(nnz) lazy-scaled SGD.
     ///
     /// Panics if `docs` and `labels` have different lengths.
     pub fn fit(

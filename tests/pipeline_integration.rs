@@ -4,7 +4,7 @@
 
 use asdb_eval::ExperimentContext;
 use asdb_model::{Rir, WorldSeed};
-use asdb_rir::dump::{read_dump, write_dump, StreamingReader};
+use asdb_rir::dump::{read_dump, write_dump};
 use asdb_rir::{extract, parse_dump};
 use asdb_websim::scraper::{scrape, ScrapeConfig};
 use asdb_websim::{Language, Translator};
@@ -47,31 +47,6 @@ fn whois_pipeline_roundtrips_through_text() {
         assert_eq!(a.categories, b.categories, "{}", record.asn);
     }
     assert!(by_asn.is_empty());
-}
-
-#[test]
-fn streaming_reader_feeds_the_pipeline() {
-    let c = ctx();
-    let sample: Vec<_> = c
-        .world
-        .ases
-        .iter()
-        .take(30)
-        .map(|r| asdb_rir::dialect::serialize(r.rir, &r.registration))
-        .collect();
-    let text = write_dump(&sample);
-    let mut reader = StreamingReader::new();
-    let mut records = Vec::new();
-    for chunk in text.as_bytes().chunks(113) {
-        reader.feed(chunk);
-        records.extend(reader.poll());
-    }
-    records.extend(reader.finish());
-    assert_eq!(records.len(), sample.len());
-    for r in &records {
-        let parsed = extract(r);
-        let _ = c.system.classify(&parsed); // must not panic, any input
-    }
 }
 
 #[test]
