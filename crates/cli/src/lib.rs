@@ -133,9 +133,10 @@ USAGE:
   asdb report   [--scale small|standard] [--seed N]
   asdb help
 
-Defaults: --scale small, --seed = the canonical experiment seed, --threads 4.
---threads N takes N in 1..=256. The batch scheduler cuts the input into ~4
-chunks per worker.
+Each subcommand takes only the flags listed for it (lookup takes one --asn);
+any other flag is an error. Defaults: --scale small, --seed = the canonical
+experiment seed, --threads 4. --threads N takes N in 1..=256. The batch
+scheduler cuts the input into ~4 chunks per worker.
 
 The metrics subcommand classifies every AS in the world (with the
 organization cache) and prints the pipeline telemetry report: per-stage
@@ -170,6 +171,31 @@ impl Command {
         let mut threads = 4usize;
         let mut fault_rate = 0.0;
 
+        // The flags each subcommand takes; any other is an error, not
+        // parsed and ignored.
+        let takes: &[&str] = match sub {
+            "generate" => &["--scale", "--seed", "--whois-out"],
+            "classify" => &[
+                "--scale",
+                "--seed",
+                "--asn",
+                "--out",
+                "--threads",
+                "--metrics",
+                "--fault-rate",
+            ],
+            "lookup" => &["--scale", "--seed", "--asn", "--metrics", "--fault-rate"],
+            "metrics" => &[
+                "--scale",
+                "--seed",
+                "--threads",
+                "--metrics",
+                "--fault-rate",
+            ],
+            "report" => &["--scale", "--seed"],
+            "help" | "--help" | "-h" => &[],
+            other => return Err(CliError(format!("unknown command {other:?}"))),
+        };
         let mut i = 0;
         let value = |i: &mut usize, flag: &str| -> Result<String, CliError> {
             *i += 1;
@@ -178,7 +204,8 @@ impl Command {
                 .ok_or_else(|| CliError(format!("{flag} requires a value")))
         };
         while i < rest.len() {
-            match rest[i] {
+            let flag = rest[i];
+            match flag {
                 "--scale" => {
                     scale = match value(&mut i, "--scale")?.as_str() {
                         "small" => Scale::Small,
@@ -231,7 +258,14 @@ impl Command {
                 }
                 other => return Err(CliError(format!("unknown flag {other:?}"))),
             }
+            if !takes.contains(&flag) {
+                return Err(CliError(format!("{sub} does not take {flag}")));
+            }
             i += 1;
+        }
+
+        if sub == "lookup" && asns.len() > 1 {
+            return Err(CliError("lookup takes one --asn".into()));
         }
 
         match sub {
@@ -269,8 +303,7 @@ impl Command {
                 fault_rate,
             }),
             "report" => Ok(Command::Report { scale, seed }),
-            "help" | "--help" | "-h" => Ok(Command::Help),
-            other => Err(CliError(format!("unknown command {other:?}"))),
+            _ => Ok(Command::Help),
         }
     }
 }
@@ -650,6 +683,99 @@ mod tests {
             .and_then(|s| s.parse().ok())
             .expect("report has a total row");
         assert_eq!(n, total, "{text}");
+    }
+
+    /// Every subcommand rejects, by name, each flag another subcommand
+    /// takes and it does not, instead of parsing and ignoring it.
+    #[test]
+    fn subcommands_reject_flags_they_ignore() {
+        let values: &[(&str, &str)] = &[
+            ("--scale", "small"),
+            ("--seed", "3"),
+            ("--whois-out", "w.txt"),
+            ("--asn", "5"),
+            ("--out", "x.jsonl"),
+            ("--threads", "3"),
+            ("--metrics", "m.json"),
+            ("--fault-rate", "0.5"),
+        ];
+        let takes: &[(&str, &[&str])] = &[
+            ("generate", &["--scale", "--seed", "--whois-out"]),
+            (
+                "classify",
+                &[
+                    "--scale",
+                    "--seed",
+                    "--asn",
+                    "--out",
+                    "--threads",
+                    "--metrics",
+                    "--fault-rate",
+                ],
+            ),
+            (
+                "lookup",
+                &["--scale", "--seed", "--asn", "--metrics", "--fault-rate"],
+            ),
+            (
+                "metrics",
+                &[
+                    "--scale",
+                    "--seed",
+                    "--threads",
+                    "--metrics",
+                    "--fault-rate",
+                ],
+            ),
+            ("report", &["--scale", "--seed"]),
+            ("help", &[]),
+        ];
+        for (sub, taken) in takes {
+            // Lookup needs its ASN whatever else is given.
+            let base = if *sub == "lookup" {
+                vec![*sub, "--asn", "7"]
+            } else {
+                vec![*sub]
+            };
+            let mut all = base.clone();
+            for (flag, v) in values {
+                if taken.contains(flag) && !base.contains(flag) {
+                    all.extend([*flag, *v]);
+                }
+            }
+            assert!(parse(&all).is_ok(), "{all:?}");
+            for (flag, v) in values {
+                if taken.contains(flag) {
+                    continue;
+                }
+                let mut args = base.clone();
+                args.extend([*flag, *v]);
+                let err = parse(&args).unwrap_err();
+                assert_eq!(err.0, format!("{sub} does not take {flag}"), "{args:?}");
+            }
+        }
+        let err = parse(&["lookup", "--asn", "5", "--asn", "6"]).unwrap_err();
+        assert!(err.0.contains("lookup") && err.0.contains("--asn"), "{err}");
+        // The invocation that used to exit 0 and write nothing.
+        let err = parse(&[
+            "generate",
+            "--threads",
+            "3",
+            "--fault-rate",
+            "0.5",
+            "--out",
+            "x",
+            "--metrics",
+            "m",
+            "--asn",
+            "5",
+        ])
+        .unwrap_err();
+        assert_eq!(err.0, "generate does not take --threads");
+        assert!(parse(&["frobnicate", "--threads", "3"])
+            .unwrap_err()
+            .0
+            .contains("unknown command"));
     }
 
     #[test]

@@ -141,7 +141,7 @@ fn training_corpus(
         let Ok(res) = scrape(&world.web, domain, scrape_config) else {
             continue;
         };
-        docs.push(translator.translate(&res.text));
+        docs.push(translator.translate(&res.text).into_owned());
         let truth = org.truth();
         isp_labels.push(truth.layer2s().contains(&known::isp()));
         hosting_labels.push(truth.layer2s().contains(&known::hosting()));

@@ -12,8 +12,8 @@
 //! the comparison.
 
 use crate::similarity::name_similarity;
-use asdb_model::{Domain, Url, WorldSeed};
-use asdb_websim::html::Page as HtmlPage;
+use asdb_model::{Domain, WorldSeed};
+use asdb_websim::html;
 use asdb_websim::Fetcher;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
@@ -133,9 +133,9 @@ pub fn select_domain<F: Fetcher>(
 /// Fetch a domain's homepage title ("or, for unreachable sites, the domain
 /// itself is used" — the caller handles the fallback).
 pub fn homepage_title<F: Fetcher>(fetcher: &F, domain: &Domain) -> Option<String> {
-    let fetched = fetcher.fetch(&Url::root(domain.clone())).ok()?;
-    let title = HtmlPage::parse(&fetched.markup).title;
-    (!title.is_empty()).then_some(title)
+    let fetched = fetcher.fetch(domain, "/").ok()?;
+    let title = html::title(&fetched.markup);
+    (!title.is_empty()).then(|| title.into_owned())
 }
 
 #[cfg(test)]

@@ -438,7 +438,7 @@ pub fn ml_cv_report(ctx: &ExperimentContext) -> String {
         let Ok(res) = scrape(&ctx.world.web, domain, &ScrapeConfig::default()) else {
             continue;
         };
-        docs.push(translator.translate(&res.text));
+        docs.push(translator.translate(&res.text).into_owned());
         labels.push(org.truth().layer2s().contains(&known::isp()));
     }
     let doc_refs: Vec<&str> = docs.iter().map(String::as_str).collect();

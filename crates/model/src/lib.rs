@@ -8,7 +8,8 @@
 //! the five Regional Internet Registries ([`Rir`]), Dun & Bradstreet style
 //! match [`ConfidenceCode`]s, simple calendar [`Date`]s for churn modeling,
 //! and the deterministic [`WorldSeed`] from which all randomness in the
-//! workspace is derived.
+//! workspace is derived. [`hash`] holds the fast hasher of the read-only
+//! word tables.
 //!
 //! Design notes (following the networking-Rust guides this repo is built
 //! against): types are small, `Copy` where possible, validate on
@@ -25,6 +26,7 @@ pub mod country;
 pub mod date;
 pub mod domain;
 pub mod error;
+pub mod hash;
 pub mod org;
 pub mod registry;
 pub mod seed;
@@ -35,6 +37,7 @@ pub use country::CountryCode;
 pub use date::Date;
 pub use domain::{Domain, Email, Url};
 pub use error::ModelError;
+pub use hash::{FxBuildHasher, FxHashMap};
 pub use org::{OrgId, OrgName};
 pub use registry::Rir;
 pub use seed::{splitmix64, WorldSeed};

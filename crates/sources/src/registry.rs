@@ -6,7 +6,7 @@ use crate::dnb::{AMBIGUITY_SPAN, MIN_MATCHABLE_BEST};
 use crate::profile::SourceProfile;
 use asdb_entity::similarity::{BOUND_SLACK, UNSHARED_JW_WEIGHT};
 use asdb_entity::NormName;
-use asdb_model::{Domain, OrgId, WorldSeed};
+use asdb_model::{Domain, FxHashMap, OrgId, WorldSeed};
 use asdb_taxonomy::naicslite::known;
 use asdb_taxonomy::translate::{naics_candidates, naics_to_naicslite};
 use asdb_taxonomy::{CategorySet, Layer1, Layer2, NaicsCode};
@@ -40,7 +40,9 @@ pub struct BusinessRegistry {
     /// Each entry's listed name, normalized once at build time.
     names: Vec<NormName>,
     /// Every listed-name token, interned as an index into `postings`.
-    token_ids: HashMap<String, u32>,
+    /// Built from the registry's own names and probed with every query
+    /// name's tokens: the fast hasher's kind of table.
+    token_ids: FxHashMap<String, u32>,
     /// Per token id, the ascending indexes of the entries whose listed
     /// name has that token.
     postings: Vec<Vec<u32>>,

@@ -20,7 +20,7 @@
 
 use crate::profile;
 use crate::{DataSource, Query, SourceId, SourceMatch};
-use asdb_model::{Domain, OrgId, WorldSeed};
+use asdb_model::{Domain, FxHashMap, OrgId, WorldSeed};
 use asdb_taxonomy::naicslite::known;
 use asdb_taxonomy::schemes::{SchemeCategory, ZVELO};
 use asdb_taxonomy::{CategorySet, Layer2};
@@ -176,6 +176,11 @@ const N_LAYER2: usize = 95;
 /// A page with fewer distinct tokens than this is parked.
 const MIN_DISTINCT_TOKENS: usize = 8;
 
+/// The most distinct vocabulary words [`VocabIndex`] holds (the websim
+/// vocabulary has 732): a page's hit words are marked in a bitset of this
+/// many bits on the stack.
+const MAX_SLOTS: usize = 4096;
+
 /// The vocabulary-centroid scorer behind Zvelo's content classifier: an
 /// inverted index from each vocabulary word to the layer-2 categories that
 /// list it, with how many times each lists it.
@@ -184,12 +189,12 @@ const MIN_DISTINCT_TOKENS: usize = 8;
 /// its vocabulary entries (duplicates counting each time) that occur among
 /// the page's distinct words ([`asdb_textml::for_each_word`]: lowercased
 /// alphanumeric runs of two or more bytes, stopwords and numbers kept).
-/// The index finds every category's hits with one lookup per distinct
-/// word.
+/// The index finds every category's hits with one lookup per word.
 #[derive(Debug, Clone)]
 struct VocabIndex {
-    /// Word → slot in `postings`.
-    slots: HashMap<&'static str, usize>,
+    /// Word → slot in `postings`: fixed at build and probed with every
+    /// word of every page, so it takes the fast hasher.
+    slots: FxHashMap<&'static str, usize>,
     /// Per word slot: `(category index in Layer2::all() order, times listed)`.
     postings: Vec<Vec<(u8, u32)>>,
     /// `sqrt(vocabulary length)` per category.
@@ -203,7 +208,7 @@ impl VocabIndex {
     fn build(vocab: impl Fn(Layer2) -> &'static [&'static str]) -> VocabIndex {
         let categories: Vec<Layer2> = Layer2::all().collect();
         let categories: [Layer2; N_LAYER2] = categories.try_into().expect("95 layer-2 categories");
-        let mut slots: HashMap<&'static str, usize> = HashMap::new();
+        let mut slots: FxHashMap<&'static str, usize> = FxHashMap::default();
         let mut postings: Vec<Vec<(u8, u32)>> = Vec::new();
         let mut norms = [0.0; N_LAYER2];
         for (c, &l2) in categories.iter().enumerate() {
@@ -220,6 +225,11 @@ impl VocabIndex {
                 }
             }
         }
+        assert!(
+            postings.len() <= MAX_SLOTS,
+            "{} vocabulary words",
+            postings.len()
+        );
         VocabIndex {
             slots,
             postings,
@@ -231,26 +241,28 @@ impl VocabIndex {
     /// The best-scoring category for a page's English text; `None` when the
     /// page is parked (fewer than eight distinct tokens, or no vocabulary
     /// hit at all). Ties go to the earlier category in `Layer2::all()`.
+    ///
+    /// Each slot is one distinct word, so eight slots hit already make
+    /// eight distinct tokens; only a page with fewer hits counts its
+    /// distinct tokens in a second pass.
     fn top_category(&self, english: &str) -> Option<Layer2> {
         let mut hits = [0usize; N_LAYER2];
-        let mut seen = vec![false; self.postings.len()];
-        // The parked check needs only the first eight distinct tokens.
-        let mut distinct: Vec<String> = Vec::with_capacity(MIN_DISTINCT_TOKENS);
+        let mut seen = [0u64; MAX_SLOTS / 64];
+        let mut n_seen = 0usize;
         let mut buf = String::new();
         for_each_word(english, &mut buf, |token| {
-            if distinct.len() < MIN_DISTINCT_TOKENS && !distinct.iter().any(|d| d == token) {
-                distinct.push(token.to_owned());
-            }
             if let Some(&slot) = self.slots.get(token) {
-                if !seen[slot] {
-                    seen[slot] = true;
+                let (word, bit) = (slot / 64, 1u64 << (slot % 64));
+                if seen[word] & bit == 0 {
+                    seen[word] |= bit;
+                    n_seen += 1;
                     for &(c, n) in &self.postings[slot] {
                         hits[c as usize] += n as usize;
                     }
                 }
             }
         });
-        if distinct.len() < MIN_DISTINCT_TOKENS {
+        if n_seen < MIN_DISTINCT_TOKENS && !has_distinct_tokens(english, MIN_DISTINCT_TOKENS) {
             return None;
         }
         let mut best: Option<(f64, usize)> = None;
@@ -267,6 +279,19 @@ impl VocabIndex {
         }
         Some(self.categories[top])
     }
+}
+
+/// Whether `english` has at least `n` distinct words
+/// ([`asdb_textml::for_each_word`]'s, the parked check's tokens).
+fn has_distinct_tokens(english: &str, n: usize) -> bool {
+    let mut distinct: Vec<String> = Vec::with_capacity(n);
+    let mut buf = String::new();
+    for_each_word(english, &mut buf, |token| {
+        if distinct.len() < n && !distinct.iter().any(|d| d == token) {
+            distinct.push(token.to_owned());
+        }
+    });
+    distinct.len() >= n
 }
 
 impl DataSource for Zvelo {

@@ -15,6 +15,8 @@
 
 use crate::naics::NaicsCode;
 use crate::naicslite::{Category, CategorySet, Layer1, Layer2};
+use asdb_model::FxHashMap;
+use std::sync::OnceLock;
 
 /// One translation rule: a NAICS prefix and the NAICSlite categories it
 /// implies. More-specific (longer) prefixes win over shorter ones.
@@ -242,36 +244,45 @@ static RULES: &[Rule] = &[
 
 /// Translate a NAICS code to its NAICSlite categories by longest-prefix
 /// match. Returns an empty set only for codes in no known sector.
+///
+/// The rules are resolved once into a table keyed by prefix (see
+/// `prefix_table`); a call probes it from the code's own length down to
+/// its sector.
 pub fn naics_to_naicslite(code: NaicsCode) -> CategorySet {
-    let mut best_len: Option<u8> = None;
-    let mut out = CategorySet::new();
-    for r in RULES {
-        let Ok(prefix) = NaicsCode::new(r.value, r.digits) else {
-            continue;
-        };
-        if r.digits <= code.digits() && prefix.is_prefix_of(code) {
-            match best_len {
-                Some(l) if r.digits < l => continue,
-                Some(l) if r.digits > l => {
-                    out = CategorySet::new();
-                    best_len = Some(r.digits);
-                }
-                None => best_len = Some(r.digits),
-                _ => {}
-            }
+    let table = prefix_table();
+    (2..=code.digits())
+        .rev()
+        .find_map(|n| table.get(&code.prefix(n)))
+        .cloned()
+        .unwrap_or_default()
+}
+
+/// Every rule prefix with the union of the targets of all rules at that
+/// prefix. All rules of a code's longest matching length share that one
+/// prefix, so its entry is the code's translation. Rules whose prefix is
+/// not a valid code never match and are left out.
+fn prefix_table() -> &'static FxHashMap<NaicsCode, CategorySet> {
+    static TABLE: OnceLock<FxHashMap<NaicsCode, CategorySet>> = OnceLock::new();
+    TABLE.get_or_init(|| {
+        let mut table: FxHashMap<NaicsCode, CategorySet> = FxHashMap::default();
+        for r in RULES {
+            let Ok(prefix) = NaicsCode::new(r.value, r.digits) else {
+                continue;
+            };
+            let set = table.entry(prefix).or_default();
             for (l1, idx) in r.targets {
                 match idx {
                     Some(i) => {
                         if let Some(l2) = Layer2::new(*l1, *i) {
-                            out.insert(Category::l2(l2));
+                            set.insert(Category::l2(l2));
                         }
                     }
-                    None => out.insert(Category::l1(*l1)),
+                    None => set.insert(Category::l1(*l1)),
                 }
             }
         }
-    }
-    out
+        table
+    })
 }
 
 /// Plausible NAICS codes for a NAICSlite layer-2 category — the codes an
@@ -435,6 +446,78 @@ mod tests {
         let l2s = set.layer2s();
         assert!(l2s.contains(&known::isp()));
         assert!(l2s.contains(&known::phone()));
+    }
+
+    /// The translation before the prefix table: a scan of every rule,
+    /// validating each rule's prefix on every call.
+    fn naics_to_naicslite_scan(code: NaicsCode) -> CategorySet {
+        let mut best_len: Option<u8> = None;
+        let mut out = CategorySet::new();
+        for r in RULES {
+            let Ok(prefix) = NaicsCode::new(r.value, r.digits) else {
+                continue;
+            };
+            if r.digits <= code.digits() && prefix.is_prefix_of(code) {
+                match best_len {
+                    Some(l) if r.digits < l => continue,
+                    Some(l) if r.digits > l => {
+                        out = CategorySet::new();
+                        best_len = Some(r.digits);
+                    }
+                    None => best_len = Some(r.digits),
+                    _ => {}
+                }
+                for (l1, idx) in r.targets {
+                    match idx {
+                        Some(i) => {
+                            if let Some(l2) = Layer2::new(*l1, *i) {
+                                out.insert(Category::l2(l2));
+                            }
+                        }
+                        None => out.insert(Category::l1(*l1)),
+                    }
+                }
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn prefix_table_matches_rule_scan() {
+        use rand::RngExt;
+        let catalog = crate::naics::CATALOG.iter().map(|(code, _, _)| {
+            NaicsCode::new(*code, (code.ilog10() + 1) as u8).expect("catalog codes are valid")
+        });
+        let candidates = Layer2::all().flat_map(naics_candidates);
+        let rules = RULES
+            .iter()
+            .filter_map(|r| NaicsCode::new(r.value, r.digits).ok());
+        let mut checked = 0usize;
+        for code in catalog.chain(candidates).chain(rules) {
+            assert_eq!(
+                naics_to_naicslite(code),
+                naics_to_naicslite_scan(code),
+                "{code}"
+            );
+            checked += 1;
+        }
+        assert!(checked > 300, "only {checked} listed codes");
+        rand::check::cases(
+            20_000,
+            |rng| {
+                let digits = rng.random_range(2..=6u8);
+                let lo = 10u32.pow(u32::from(digits) - 1);
+                let value = rng.random_range(lo..lo * 10);
+                NaicsCode::new(value, digits).expect("in range")
+            },
+            |code| {
+                assert_eq!(
+                    naics_to_naicslite(code),
+                    naics_to_naicslite_scan(code),
+                    "{code}"
+                )
+            },
+        );
     }
 
     #[test]

@@ -265,7 +265,7 @@ mod tests {
             let mut texts = Vec::new();
             for domain in w.orgs.iter().filter_map(|o| o.domain.as_ref()) {
                 if let Ok(page) = scrape(&w.web, domain, &ScrapeConfig::default()) {
-                    texts.push(translator.translate(&page.text));
+                    texts.push(translator.translate(&page.text).into_owned());
                     texts.push(page.text);
                 }
             }

@@ -9,6 +9,7 @@
 //! bypassing the pair sort of [`SparseVec::from_pairs`].
 
 use crate::tokenize::{for_each_word, tokens};
+use asdb_model::FxHashMap;
 use std::borrow::Cow;
 use std::collections::HashMap;
 
@@ -158,7 +159,11 @@ struct TokenStats {
 /// vocabulary — the "Count Vectorizer" box of Figure 3.
 #[derive(Debug, Clone, Default)]
 pub struct CountVectorizer {
-    vocab: HashMap<String, u32>,
+    /// Token → feature index. Fixed once fitted and probed with every word
+    /// of every page, so it takes the fast hasher (see
+    /// [`asdb_model::hash`]); the fitting statistics map, which inserts
+    /// corpus words, keeps std's.
+    vocab: FxHashMap<String, u32>,
     config: VectorizerConfig,
 }
 
@@ -166,7 +171,7 @@ impl CountVectorizer {
     /// New, unfitted vectorizer.
     pub fn new(config: VectorizerConfig) -> CountVectorizer {
         CountVectorizer {
-            vocab: HashMap::new(),
+            vocab: FxHashMap::default(),
             config,
         }
     }

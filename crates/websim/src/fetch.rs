@@ -6,9 +6,9 @@
 //! missing pages).
 
 use crate::site::Website;
-use asdb_model::{Domain, Url};
+use asdb_model::{Domain, FxBuildHasher, FxHashMap};
 use std::borrow::Cow;
-use std::collections::BTreeMap;
+use std::collections::HashSet;
 use std::fmt;
 use std::sync::Arc;
 
@@ -44,15 +44,15 @@ pub struct Fetched<'a> {
 
 /// Anything the scraper can fetch pages from.
 pub trait Fetcher {
-    /// Fetch a URL.
-    fn fetch(&self, url: &Url) -> Result<Fetched<'_>, FetchError>;
+    /// Fetch the page at `path` (site-relative, e.g. `/about`) on `host`.
+    fn fetch(&self, host: &Domain, path: &str) -> Result<Fetched<'_>, FetchError>;
 }
 
 /// A shared fetcher fetches through what it points at, so one
 /// `Arc<SimWeb>` serves every holder without a copy of the pages.
 impl<F: Fetcher + ?Sized> Fetcher for Arc<F> {
-    fn fetch(&self, url: &Url) -> Result<Fetched<'_>, FetchError> {
-        (**self).fetch(url)
+    fn fetch(&self, host: &Domain, path: &str) -> Result<Fetched<'_>, FetchError> {
+        (**self).fetch(host, path)
     }
 }
 
@@ -60,11 +60,13 @@ impl<F: Fetcher + ?Sized> Fetcher for Arc<F> {
 /// registered-but-unreachable hosts.
 ///
 /// Not `Clone`: a world's web is built once and shared behind an `Arc` by
-/// everything that scrapes it.
+/// everything that scrapes it. Its hosts are fixed once the world is built
+/// and every fetch probes them, so they take the fast hasher (see
+/// [`asdb_model::hash`]).
 #[derive(Debug, Default)]
 pub struct SimWeb {
-    sites: BTreeMap<Domain, Website>,
-    unreachable: BTreeMap<Domain, ()>,
+    sites: FxHashMap<Domain, Website>,
+    unreachable: HashSet<Domain, FxBuildHasher>,
 }
 
 impl SimWeb {
@@ -80,7 +82,7 @@ impl SimWeb {
 
     /// Register a domain that resolves but never answers.
     pub fn register_unreachable(&mut self, domain: Domain) {
-        self.unreachable.insert(domain, ());
+        self.unreachable.insert(domain);
     }
 
     /// The site at a domain, if any.
@@ -101,12 +103,12 @@ impl SimWeb {
 
 impl Fetcher for SimWeb {
     /// The page's markup is borrowed from the hosted site, not copied.
-    fn fetch(&self, url: &Url) -> Result<Fetched<'_>, FetchError> {
-        if self.unreachable.contains_key(&url.host) {
+    fn fetch(&self, host: &Domain, path: &str) -> Result<Fetched<'_>, FetchError> {
+        if self.unreachable.contains(host) {
             return Err(FetchError::Unreachable);
         }
-        let site = self.sites.get(&url.host).ok_or(FetchError::NoSuchHost)?;
-        let markup = site.pages.get(&url.path).ok_or(FetchError::NotFound)?;
+        let site = self.sites.get(host).ok_or(FetchError::NoSuchHost)?;
+        let markup = site.pages.get(path).ok_or(FetchError::NotFound)?;
         Ok(Fetched {
             markup: Cow::Borrowed(markup),
         })
@@ -138,20 +140,26 @@ mod tests {
     #[test]
     fn fetch_existing_page() {
         let w = web();
-        let url = Url::root(Domain::new("live.example").unwrap());
-        let f = w.fetch(&url).unwrap();
+        let f = w.fetch(&Domain::new("live.example").unwrap(), "/").unwrap();
         assert!(f.markup.contains("Live Org"));
     }
 
     #[test]
     fn fetch_error_modes() {
         let w = web();
-        let missing = Url::with_path(Domain::new("live.example").unwrap(), "/nope");
-        assert_eq!(w.fetch(&missing).unwrap_err(), FetchError::NotFound);
-        let dead = Url::root(Domain::new("dead.example").unwrap());
-        assert_eq!(w.fetch(&dead).unwrap_err(), FetchError::Unreachable);
-        let unknown = Url::root(Domain::new("ghost.example").unwrap());
-        assert_eq!(w.fetch(&unknown).unwrap_err(), FetchError::NoSuchHost);
+        let fetch = |host: &str, path: &str| w.fetch(&Domain::new(host).unwrap(), path);
+        assert_eq!(
+            fetch("live.example", "/nope").unwrap_err(),
+            FetchError::NotFound
+        );
+        assert_eq!(
+            fetch("dead.example", "/").unwrap_err(),
+            FetchError::Unreachable
+        );
+        assert_eq!(
+            fetch("ghost.example", "/").unwrap_err(),
+            FetchError::NoSuchHost
+        );
     }
 
     #[test]

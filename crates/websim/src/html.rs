@@ -6,6 +6,13 @@
 //! pipeline needs: title, headings, paragraphs, anchors, and images with
 //! `alt`-less embedded text (which a text scraper cannot see — one of the
 //! paper's documented failure modes).
+//!
+//! There is one parser, [`spans`]: it finds each element in place and
+//! borrows its still-escaped text. The scraper writes those spans straight
+//! into its output; [`Page::parse`] is the owned wrapper that unescapes and
+//! copies them.
+
+use std::borrow::Cow;
 
 /// A hyperlink on a page.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -111,53 +118,119 @@ impl Page {
     }
 
     /// Parse markup produced by [`Page::render`] (or anything structurally
-    /// similar). Unknown tags are skipped; the parser never panics.
-    ///
-    /// One left-to-right pass: an element's text runs from its open tag to
-    /// the next `<`, and the element is kept only when that `<` starts its
-    /// close tag (matched ignoring ASCII case).
+    /// similar) into an owned page: [`spans`], each unescaped and copied.
+    /// Unknown tags are skipped; the parser never panics.
     pub fn parse(markup: &str) -> Page {
         let mut page = Page::default();
-        let mut rest = markup;
-        while let Some(start) = rest.find('<') {
-            rest = &rest[start + 1..];
-            let Some(end) = rest.find('>') else { break };
-            let tag = &rest[..end];
-            rest = &rest[end + 1..];
-            let (name, attrs) = tag.split_once(char::is_whitespace).unwrap_or((tag, ""));
-            let is = |n: &str| name.eq_ignore_ascii_case(n);
-            if is("title") {
-                if let Some((text, r)) = read_text_until(rest, "</title>") {
-                    page.title = unescape(text);
-                    rest = r;
-                }
-            } else if is("h1") || is("h2") {
-                let close = if is("h1") { "</h1>" } else { "</h2>" };
-                if let Some((text, r)) = read_text_until(rest, close) {
-                    page.headings.push(unescape(text));
-                    rest = r;
-                }
-            } else if is("p") {
-                if let Some((text, r)) = read_text_until(rest, "</p>") {
-                    page.paragraphs.push(unescape(text));
-                    rest = r;
-                }
-            } else if is("a") {
-                if let Some((text, r)) = read_text_until(rest, "</a>") {
-                    page.links.push(Link {
-                        href: unescape(attr_value(attrs, "href").unwrap_or_default()),
-                        text: unescape(text),
-                    });
-                    rest = r;
-                }
-            } else if is("img") {
-                if let Some(baked) = attr_value(attrs, "data-baked") {
-                    page.image_text.push(unescape(baked));
-                }
+        for span in spans(markup) {
+            match span {
+                Span::Title(t) => page.title = unescape(t).into_owned(),
+                Span::Heading(t) => page.headings.push(unescape(t).into_owned()),
+                Span::Paragraph(t) => page.paragraphs.push(unescape(t).into_owned()),
+                Span::Link { href, text } => page.links.push(Link {
+                    href: unescape(href).into_owned(),
+                    text: unescape(text).into_owned(),
+                }),
+                Span::Image(t) => page.image_text.push(unescape(t).into_owned()),
             }
         }
         page
     }
+}
+
+/// One element [`spans`] finds, its text borrowed from the markup and
+/// still escaped (`&amp;`, `&lt;`, `&gt;`, `&quot;`).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Span<'a> {
+    /// A `<title>`'s text. A page's title is its last one.
+    Title(&'a str),
+    /// An `<h1>` or `<h2>`'s text.
+    Heading(&'a str),
+    /// A `<p>`'s text.
+    Paragraph(&'a str),
+    /// An `<a>`: its `href` value (empty when it has none) and its anchor.
+    Link {
+        /// The `href` attribute's value.
+        href: &'a str,
+        /// The anchor text.
+        text: &'a str,
+    },
+    /// An `<img>`'s `data-baked` value: text invisible to a scraper.
+    Image(&'a str),
+}
+
+/// The elements of `markup` in document order, without copying any text.
+///
+/// One left-to-right pass: an element's text runs from its open tag to
+/// the next `<`, and the element is kept only when that `<` starts its
+/// close tag (matched ignoring ASCII case).
+pub fn spans(markup: &str) -> Spans<'_> {
+    Spans { rest: markup }
+}
+
+/// The iterator [`spans`] returns.
+#[derive(Debug, Clone)]
+pub struct Spans<'a> {
+    rest: &'a str,
+}
+
+impl<'a> Iterator for Spans<'a> {
+    type Item = Span<'a>;
+
+    fn next(&mut self) -> Option<Span<'a>> {
+        while let Some(start) = find_byte(self.rest, b'<') {
+            let rest = &self.rest[start + 1..];
+            let Some(end) = find_byte(rest, b'>') else {
+                break;
+            };
+            let tag = &rest[..end];
+            self.rest = &rest[end + 1..];
+            let (name, attrs) = tag.split_once(char::is_whitespace).unwrap_or((tag, ""));
+            let is = |n: &str| name.eq_ignore_ascii_case(n);
+            // The close tag, and how to make the span of the text before it
+            // from that text and the open tag's attributes.
+            type Make<'a> = fn(&'a str, &'a str) -> Span<'a>;
+            let (close, make): (&str, Make<'a>) = if is("title") {
+                ("</title>", |text, _| Span::Title(text))
+            } else if is("h1") {
+                ("</h1>", |text, _| Span::Heading(text))
+            } else if is("h2") {
+                ("</h2>", |text, _| Span::Heading(text))
+            } else if is("p") {
+                ("</p>", |text, _| Span::Paragraph(text))
+            } else if is("a") {
+                ("</a>", |text, attrs| Span::Link {
+                    href: attr_value(attrs, "href").unwrap_or_default(),
+                    text,
+                })
+            } else {
+                if is("img") {
+                    if let Some(baked) = attr_value(attrs, "data-baked") {
+                        return Some(Span::Image(baked));
+                    }
+                }
+                continue;
+            };
+            if let Some((text, after)) = read_text_until(self.rest, close) {
+                self.rest = after;
+                return Some(make(text, attrs));
+            }
+        }
+        self.rest = "";
+        None
+    }
+}
+
+/// The text of the last `<title>` of `markup`, unescaped; empty when it
+/// has none (what [`Page::parse`] gives as `title`).
+pub fn title(markup: &str) -> Cow<'_, str> {
+    let last = spans(markup)
+        .filter_map(|s| match s {
+            Span::Title(t) => Some(t),
+            _ => None,
+        })
+        .last();
+    unescape(last.unwrap_or_default())
 }
 
 /// The markup before a page's title, between its title and its body, and
@@ -242,7 +315,7 @@ impl Element {
 /// treated as malformed, and the outer loop re-scans from the intervening
 /// tag instead of swallowing it.
 fn read_text_until<'a>(input: &'a str, close: &str) -> Option<(&'a str, &'a str)> {
-    let pos = input.find('<')?;
+    let pos = find_byte(input, b'<')?;
     let tail = &input.as_bytes()[pos..];
     if tail.len() < close.len() || !tail[..close.len()].eq_ignore_ascii_case(close.as_bytes()) {
         return None;
@@ -258,8 +331,31 @@ fn attr_value<'a>(attrs: &'a str, name: &str) -> Option<&'a str> {
         .windows(name.len() + 2)
         .position(|w| w[..name.len()].eq_ignore_ascii_case(name) && w[name.len()..] == *b"=\"")?;
     let after = &attrs[at + name.len() + 2..];
-    let end = after.find('"')?;
+    let end = find_byte(after, b'"')?;
     Some(&after[..end])
+}
+
+/// The index of the first `needle` in `s`, an ASCII byte, so the index
+/// is a char boundary. Markup is searched from tag to tag, a few dozen
+/// bytes at a time, so the search tests eight bytes per step with no
+/// set-up: `x - 0x01…01 & !x & 0x80…80` flags the zero bytes of `x` (the
+/// bytes equal to `needle` once xored with it), and only bytes above a
+/// flagged one can be flagged falsely, so the lowest flag is exact.
+fn find_byte(s: &str, needle: u8) -> Option<usize> {
+    const ONES: u64 = u64::from_ne_bytes([0x01; 8]);
+    const HIGHS: u64 = u64::from_ne_bytes([0x80; 8]);
+    let bytes = s.as_bytes();
+    let mut i = 0;
+    while let Some(chunk) = bytes.get(i..i + 8) {
+        let x =
+            u64::from_le_bytes(chunk.try_into().expect("eight bytes")) ^ (ONES * u64::from(needle));
+        let zeros = x.wrapping_sub(ONES) & !x & HIGHS;
+        if zeros != 0 {
+            return Some(i + zeros.trailing_zeros() as usize / 8);
+        }
+        i += 8;
+    }
+    bytes[i..].iter().position(|&b| b == needle).map(|p| i + p)
 }
 
 /// The entity a byte is escaped to, for the four escaped ASCII bytes. A
@@ -336,15 +432,45 @@ fn push_escaped(out: &mut String, s: &str) {
     out.push_str(&s[run..]);
 }
 
-/// Undo [`push_escaped`]. Text without an `&` is copied as is.
-fn unescape(s: &str) -> String {
-    if !s.contains('&') {
-        return s.to_owned();
+/// Undo [`push_escaped`]: text without an `&` is borrowed as is.
+pub(crate) fn unescape(s: &str) -> Cow<'_, str> {
+    if find_byte(s, b'&').is_none() {
+        return Cow::Borrowed(s);
     }
-    s.replace("&quot;", "\"")
-        .replace("&gt;", ">")
-        .replace("&lt;", "<")
-        .replace("&amp;", "&")
+    let mut out = String::with_capacity(s.len());
+    push_unescaped(&mut out, s);
+    Cow::Owned(out)
+}
+
+/// Append `s` to `out` with `&quot;`, `&gt;`, `&lt;` and `&amp;` decoded.
+/// Each entity runs from an `&` to the next `;` with no `&` inside, so
+/// entities never overlap and one left-to-right pass decodes them all;
+/// a decoded `&` never starts another entity (`&amp;lt;` is `&lt;`).
+pub(crate) fn push_unescaped(out: &mut String, s: &str) {
+    let mut rest = s;
+    while let Some(at) = find_byte(rest, b'&') {
+        out.push_str(&rest[..at]);
+        let tail = &rest[at..];
+        let decoded = [
+            ("&quot;", '"'),
+            ("&gt;", '>'),
+            ("&lt;", '<'),
+            ("&amp;", '&'),
+        ]
+        .into_iter()
+        .find(|(entity, _)| tail.starts_with(entity));
+        match decoded {
+            Some((entity, c)) => {
+                out.push(c);
+                rest = &tail[entity.len()..];
+            }
+            None => {
+                out.push('&');
+                rest = &tail[1..];
+            }
+        }
+    }
+    out.push_str(rest);
 }
 
 #[cfg(test)]
@@ -412,6 +538,35 @@ mod tests {
         assert_eq!(p.title, "");
         let p = Page::parse("<p>fine</p><h1>unclosed heading");
         assert_eq!(p.paragraphs, vec!["fine"]);
+    }
+
+    #[test]
+    fn spans_borrow_escaped_text_in_document_order() {
+        let markup = "<p>a &amp; b</p><title>T</title><A HREF=\"/x\">go</a><img data-baked=\"i\"/>";
+        let got: Vec<Span> = spans(markup).collect();
+        assert_eq!(
+            got,
+            vec![
+                Span::Paragraph("a &amp; b"),
+                Span::Title("T"),
+                Span::Link {
+                    href: "/x",
+                    text: "go"
+                },
+                Span::Image("i"),
+            ]
+        );
+        assert_eq!(title("<title>a</title><title>b &lt; c</title>"), "b < c");
+        assert_eq!(title("<p>x</p>"), "");
+    }
+
+    #[test]
+    fn unescape_borrows_text_without_entities() {
+        assert!(matches!(unescape("plain text"), Cow::Borrowed(_)));
+        assert_eq!(
+            unescape("&amp;lt; &quot;x&quot; &gt &amp"),
+            "&lt; \"x\" &gt &amp"
+        );
     }
 
     #[test]

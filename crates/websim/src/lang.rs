@@ -16,6 +16,7 @@
 use asdb_model::WorldSeed;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
+use std::borrow::Cow;
 
 /// A website language. `English` passes text through unchanged.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -268,9 +269,9 @@ impl Translator {
         Translator::new(0.0, seed)
     }
 
-    /// Translate text to English. English input passes through unchanged
+    /// Translate text to English. English input is borrowed back unchanged
     /// and without loss; the ML detectors and Zvelo translate every
-    /// scraped page, English or not.
+    /// scraped page, English or not, and most pages are English.
     ///
     /// Foreign text is written word by word into one output buffer. Words
     /// are split on the ASCII bytes `b'\n'` and `b' '`, so a byte search
@@ -278,10 +279,10 @@ impl Translator {
     /// other words by `push_stripped`. A lossy translator draws one loss
     /// decision per `' '`-separated word of each line, empty words
     /// included, and a lost word takes its separating space with it.
-    pub fn translate(&self, text: &str) -> String {
+    pub fn translate<'a>(&self, text: &'a str) -> Cow<'a, str> {
         let lang = Language::detect(text);
         if lang == Language::English {
-            return text.to_owned();
+            return Cow::Borrowed(text);
         }
         let marker = lang.marker();
         let mut rng = StdRng::seed_from_u64(
@@ -328,7 +329,7 @@ impl Translator {
             }
             start = end + 1;
         }
-        out
+        Cow::Owned(out)
     }
 }
 

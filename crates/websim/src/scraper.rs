@@ -7,8 +7,8 @@
 //! Figure 3 and reproduced as [`SCRAPER_KEYWORDS`].
 
 use crate::fetch::{FetchError, Fetcher};
-use crate::html::Page;
-use asdb_model::{Domain, Url};
+use crate::html::{self, Page, Span};
+use asdb_model::Domain;
 
 /// The Figure 3 keyword list: words that "most frequently appear in the
 /// page titles of internal pages containing organization information".
@@ -55,44 +55,119 @@ impl ScrapeResult {
 /// `config.max_internal_pages` same-site links whose anchor text contains a
 /// configured keyword (case-insensitive). Returns the fetch error only if
 /// the *root* page is unavailable; internal-page failures are skipped.
+///
+/// Pages are fetched by host and path and read as [`html::spans`]: the
+/// visible text goes straight into the result, anchors are matched in
+/// place, and only a followed link's path is copied (into `visited`).
 pub fn scrape<F: Fetcher>(
     fetcher: &F,
     domain: &Domain,
     config: &ScrapeConfig,
 ) -> Result<ScrapeResult, FetchError> {
-    let root_url = Url::root(domain.clone());
-    let root = fetcher.fetch(&root_url)?;
-    let root_page = Page::parse(&root.markup);
-    let mut text = root_page.visible_text();
+    let root = fetcher.fetch(domain, "/")?;
+    // Visible text is never longer than its markup.
+    let mut text = String::with_capacity(root.markup.len());
+    let links = push_page_text(&root.markup, &mut text);
     let mut visited = vec!["/".to_owned()];
 
     let mut followed = 0usize;
-    for link in &root_page.links {
+    for span in links {
         if followed >= config.max_internal_pages {
             break;
         }
-        if !is_internal(&link.href) {
+        let Span::Link { href, text: anchor } = span else {
+            continue;
+        };
+        let href = html::unescape(href);
+        if !is_internal(&href) || !has_keyword(anchor, &config.keywords) {
             continue;
         }
-        let anchor = link.text.to_lowercase();
-        let matches = anchor
-            .split(|c: char| !c.is_alphanumeric())
-            .any(|w| config.keywords.iter().any(|k| k == w));
-        if !matches {
-            continue;
-        }
-        let url = Url::with_path(domain.clone(), &link.href);
-        match fetcher.fetch(&url) {
-            Ok(f) => {
-                text.push('\n');
-                Page::parse(&f.markup).push_visible_text(&mut text);
-                visited.push(link.href.clone());
-                followed += 1;
-            }
-            Err(_) => continue,
+        if let Ok(page) = fetcher.fetch(domain, &href) {
+            text.reserve(page.markup.len() + 1);
+            text.push('\n');
+            push_page_text(&page.markup, &mut text);
+            visited.push(href.into_owned());
+            followed += 1;
         }
     }
     Ok(ScrapeResult { text, visited })
+}
+
+/// Append the visible text of the page `markup` to `out`, as
+/// [`Page::push_visible_text`] of [`Page::parse`] would: the last title
+/// when not empty, then every heading, paragraph and link anchor, one per
+/// line. A rendered page holds its parts in that order, and they are
+/// written as the spans come. A page whose parts come in another order is
+/// parsed into a [`Page`] instead.
+///
+/// Returns the page's spans from its first link on (all of them for a
+/// page parsed into a [`Page`]), so the scraper reads the root's links
+/// without reading its text again.
+fn push_page_text<'m>(markup: &'m str, out: &mut String) -> html::Spans<'m> {
+    let start = out.len();
+    // The rank of the last part: title 0, heading 1, paragraph 2, link 3.
+    let mut rank = 0;
+    let mut first = true;
+    let mut spans = html::spans(markup);
+    let mut links = None;
+    loop {
+        let before = spans.clone();
+        let Some(span) = spans.next() else { break };
+        let (r, part) = match span {
+            Span::Title(t) => (0, t),
+            Span::Heading(t) => (1, t),
+            Span::Paragraph(t) => (2, t),
+            Span::Link { text, .. } => (3, text),
+            Span::Image(_) => continue,
+        };
+        if r < rank {
+            out.truncate(start);
+            Page::parse(markup).push_visible_text(out);
+            return html::spans(markup);
+        }
+        if r == 3 && links.is_none() {
+            links = Some(before);
+        }
+        rank = r;
+        if r == 0 {
+            // A later title replaces an earlier one, and an empty title is
+            // no part.
+            out.truncate(start);
+            first = true;
+            if part.is_empty() {
+                continue;
+            }
+        }
+        if !first {
+            out.push('\n');
+        }
+        first = false;
+        html::push_unescaped(out, part);
+    }
+    links.unwrap_or(spans)
+}
+
+/// Whether the anchor `raw` (escaped, as in the markup) holds a keyword:
+/// a run of alphanumeric chars of the lowercased anchor equal to one.
+/// ASCII lowercases byte by byte, so an ASCII anchor is split and compared
+/// in place; any other is lowercased whole (`str::to_lowercase` has
+/// context rules, like the final sigma).
+fn has_keyword(raw: &str, keywords: &[String]) -> bool {
+    let anchor = html::unescape(raw);
+    if !anchor.is_ascii() {
+        let lower = anchor.to_lowercase();
+        return lower
+            .split(|c: char| !c.is_alphanumeric())
+            .any(|w| keywords.iter().any(|k| k == w));
+    }
+    anchor
+        .as_bytes()
+        .split(|b| !b.is_ascii_alphanumeric())
+        .any(|w| {
+            keywords.iter().any(|k| {
+                k.len() == w.len() && k.bytes().zip(w).all(|(k, &b)| k == b.to_ascii_lowercase())
+            })
+        })
 }
 
 fn is_internal(href: &str) -> bool {
@@ -186,8 +261,8 @@ mod tests {
     fn internal_fetch_failures_are_skipped() {
         struct Flaky;
         impl Fetcher for Flaky {
-            fn fetch(&self, url: &Url) -> Result<Fetched<'_>, FetchError> {
-                if url.path == "/" {
+            fn fetch(&self, _: &Domain, path: &str) -> Result<Fetched<'_>, FetchError> {
+                if path == "/" {
                     let page = Page {
                         title: "Root".into(),
                         links: vec![
@@ -206,7 +281,7 @@ mod tests {
                     Ok(Fetched {
                         markup: Cow::Owned(page.render()),
                     })
-                } else if url.path == "/services" {
+                } else if path == "/services" {
                     Ok(Fetched {
                         markup: Cow::Owned(
                             Page {
@@ -236,8 +311,8 @@ mod tests {
     fn external_links_not_followed() {
         struct External;
         impl Fetcher for External {
-            fn fetch(&self, url: &Url) -> Result<Fetched<'_>, FetchError> {
-                assert_eq!(url.host.as_str(), "self.example", "left the site!");
+            fn fetch(&self, host: &Domain, _: &str) -> Result<Fetched<'_>, FetchError> {
+                assert_eq!(host.as_str(), "self.example", "left the site!");
                 let page = Page {
                     title: "Root".into(),
                     links: vec![crate::html::Link {

@@ -3,17 +3,20 @@
 //! oracle.
 //!
 //! The parser reads each element's text in place up to the next `<` and
-//! borrows attribute values; the renderer escapes into one exactly sized
-//! buffer. These tests pin that both give the oracle's output on every page
+//! borrows attribute values (`html::spans`, which `Page::parse` unescapes
+//! and copies); the renderer escapes into one exactly sized buffer. These tests pin that both give the oracle's output on every page
 //! of three standard worlds, on random markup built from the fragments the
 //! close-tag and attribute rules care about, and on random pages whose
 //! every field holds the escaped characters. Every rendered page, hosted or
 //! re-rendered, has no spare capacity.
 
+mod common;
+
 use asdb_model::WorldSeed;
 use asdb_websim::html::Link;
 use asdb_websim::Page;
 use asdb_worldgen::{World, WorldConfig};
+use common::arb_fragment;
 use rand::check::{self, any_string, class_string, vec_of};
 use rand::rngs::StdRng;
 use rand::RngExt;
@@ -171,95 +174,6 @@ fn parse_and_render_match_oracle_on_standard_worlds() {
             }
         }
         assert!(pages > 10_000, "seed {s}: only {pages} pages");
-    }
-}
-
-/// One of `items`, uniformly.
-fn pick<'a>(rng: &mut StdRng, items: &[&'a str]) -> &'a str {
-    items[rng.random_range(0..items.len())]
-}
-
-/// `s` with each ASCII letter uppercased at random.
-fn cased(rng: &mut StdRng, s: &str) -> String {
-    s.chars()
-        .map(|c| {
-            if rng.random_bool(0.5) {
-                c.to_ascii_uppercase()
-            } else {
-                c
-            }
-        })
-        .collect()
-}
-
-/// One piece of test markup: an open or close tag of a parsed element in
-/// any ASCII case, a whole element with `<`-free text, an
-/// attribute-bearing `<a>` or `<img>`, an unknown tag, an entity, a stray
-/// `<`, `>` or `"`, or arbitrary text.
-fn arb_fragment(rng: &mut StdRng) -> String {
-    const NAMES: &[&str] = &["title", "h1", "h2", "p", "a", "img"];
-    match rng.random_range(0..14) {
-        0 | 1 => {
-            let name = pick(rng, NAMES);
-            format!("<{}>", cased(rng, name))
-        }
-        2 | 3 => {
-            let name = pick(rng, NAMES);
-            format!("</{}>", cased(rng, name))
-        }
-        4 | 5 => {
-            let open = pick(rng, NAMES);
-            let close = if rng.random_bool(0.8) {
-                open
-            } else {
-                pick(rng, NAMES)
-            };
-            let text = class_string(rng, "a-zA-Z &;\">", 0..=12);
-            format!("<{}>{text}</{}>", cased(rng, open), cased(rng, close))
-        }
-        6 => {
-            let name = pick(rng, &["a", "img"]);
-            let space = pick(rng, &[" ", "  ", "\t", "\u{A0}", "\u{3000}"]);
-            let before = pick(rng, &["", "x", "id=\"h\" "]);
-            let attr = pick(rng, &["href", "data-baked"]);
-            let value = class_string(rng, "a-z/&;\"<", 0..=8);
-            let close = pick(rng, &[">", ">", "/>"]);
-            format!(
-                "<{}{space}{before}{}=\"{value}\"{close}",
-                cased(rng, name),
-                cased(rng, attr)
-            )
-        }
-        7 => pick(
-            rng,
-            &[
-                "<div>",
-                "<br/>",
-                "</span>",
-                "<TITLEX>",
-                "<p class=\"x\">",
-                "</p",
-                "<",
-            ],
-        )
-        .to_owned(),
-        8 | 9 => pick(
-            rng,
-            &[
-                "&amp;quot;",
-                "&quot;",
-                "&lt;",
-                "&gt;",
-                "&amp;",
-                "&amp;lt;",
-                "&",
-                "&amp",
-            ],
-        )
-        .to_owned(),
-        10 => class_string(rng, "<>\"=& ", 1..=2),
-        11 => any_string(rng, 0..=6),
-        _ => class_string(rng, "a-zA-Z ", 1..=8),
     }
 }
 

@@ -3,7 +3,7 @@
 //! oracle.
 //!
 //! The translator writes into one output buffer, strips ASCII words by
-//! slicing and folds other words char by char. These tests pin that its
+//! slicing and folds other words char by char; English text it borrows. These tests pin that its
 //! output equals the oracle's on every page of three standard worlds for
 //! the ML, Zvelo and lossless translators, and on random mangled texts
 //! wherever the oracle returns at all: the oracle slices non-ASCII words at
@@ -30,6 +30,7 @@ use rand::check::{self, any_string, class_string, vec_of};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::RngExt;
+use std::borrow::Cow;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 /// The replaced translator: per-word `String`s joined per line, a marker
@@ -190,8 +191,15 @@ fn translate_matches_oracle_on_standard_worlds() {
             assert_eq!(lang, oracle::detect(&page.text), "seed {s}, {domain}");
             foreign += usize::from(lang != Language::English);
             for (name, tr, loss, seed) in &translators {
+                let got = tr.translate(&page.text);
+                // English text comes back borrowed, not copied.
                 assert_eq!(
-                    tr.translate(&page.text),
+                    matches!(got, Cow::Borrowed(_)),
+                    lang == Language::English,
+                    "seed {s}, {name} translator, {domain}"
+                );
+                assert_eq!(
+                    got,
                     oracle::translate(*loss, *seed, &page.text),
                     "seed {s}, {name} translator, {domain}"
                 );

@@ -648,7 +648,7 @@ mod tests {
         for org in &w.orgs {
             let Some(domain) = &org.domain else { continue };
             if !org.live_site {
-                let root = w.web.fetch(&Url::root(domain.clone()));
+                let root = w.web.fetch(domain, "/");
                 assert_eq!(root.unwrap_err(), asdb_websim::FetchError::Unreachable);
                 continue;
             }

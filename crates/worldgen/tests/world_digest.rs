@@ -13,7 +13,7 @@
 //! domain, how its root page answers, and each hosted page's path and
 //! markup. The AS, site and page counts are pinned beside it.
 
-use asdb_model::{Domain, Url, WorldSeed};
+use asdb_model::{Domain, WorldSeed};
 use asdb_rir::dialect;
 use asdb_rir::dump::write_dump;
 use asdb_rir::extract::NameSource;
@@ -129,7 +129,7 @@ fn digest(seed: u64) -> Pinned {
 
 /// How the domain's root page answers: one byte per outcome.
 fn root_answer(world: &World, domain: &Domain) -> u8 {
-    match world.web.fetch(&Url::root(domain.clone())) {
+    match world.web.fetch(domain, "/") {
         Ok(_) => 1,
         Err(FetchError::Unreachable) => 2,
         Err(FetchError::NoSuchHost) => 3,
