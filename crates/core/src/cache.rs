@@ -45,8 +45,6 @@ impl OrgKey {
 pub struct CachedResult {
     /// The classification.
     pub categories: CategorySet,
-    /// Provenance note (stage name at classification time).
-    pub provenance: String,
 }
 
 /// Thread-safe organization cache.
@@ -153,11 +151,12 @@ mod tests {
         crate::PipelineMetrics::new().build_cache()
     }
 
-    fn result(tag: &str) -> CachedResult {
-        CachedResult {
-            categories: CategorySet::new(),
-            provenance: tag.into(),
-        }
+    fn result(categories: CategorySet) -> CachedResult {
+        CachedResult { categories }
+    }
+
+    fn isp() -> CategorySet {
+        CategorySet::single(Category::l2(known::isp()))
     }
 
     #[test]
@@ -183,13 +182,7 @@ mod tests {
         let cache = new_cache();
         let key = OrgKey::Name("acme".into());
         assert!(cache.get(&key).is_none());
-        cache.put(
-            key.clone(),
-            CachedResult {
-                categories: CategorySet::single(Category::l2(known::isp())),
-                provenance: "test".into(),
-            },
-        );
+        cache.put(key.clone(), result(isp()));
         assert_eq!(cache.len(), 1);
         assert!(cache.get(&key).is_some());
         assert!(cache.invalidate(&key));
@@ -203,13 +196,7 @@ mod tests {
         let key = OrgKey::Name("acme".into());
         assert!(cache.get(&key).is_none());
         assert_eq!((cache.hits(), cache.misses()), (0, 1));
-        cache.put(
-            key.clone(),
-            CachedResult {
-                categories: CategorySet::single(Category::l2(known::isp())),
-                provenance: "test".into(),
-            },
-        );
+        cache.put(key.clone(), result(isp()));
         assert!(cache.get(&key).is_some());
         assert!(cache.get(&key).is_some());
         assert_eq!((cache.hits(), cache.misses(), cache.inserts()), (2, 1, 1));
@@ -226,7 +213,7 @@ mod tests {
             OrgCache::with_counters(Arc::clone(&hits), Arc::clone(&misses), Arc::clone(&inserts));
         let key = OrgKey::Name("acme".into());
         let _ = cache.get(&key);
-        cache.put(key.clone(), result("t"));
+        cache.put(key.clone(), result(CategorySet::new()));
         let _ = cache.get(&key);
         assert_eq!(hits.get(), 1);
         assert_eq!(misses.get(), 1);
@@ -243,7 +230,7 @@ mod tests {
             handles.push(std::thread::spawn(move || {
                 for i in 0..100 {
                     let key = OrgKey::Name(format!("org-{t}-{i}"));
-                    c.put(key.clone(), result("t"));
+                    c.put(key.clone(), result(CategorySet::new()));
                     assert!(c.get(&key).is_some());
                 }
             }));
@@ -258,13 +245,13 @@ mod tests {
     fn put_counts_an_insert_only_when_it_creates_the_entry() {
         let cache = new_cache();
         let key = OrgKey::Name("acme".into());
-        cache.put(key.clone(), result("first"));
-        cache.put(key.clone(), result("second"));
+        cache.put(key.clone(), result(CategorySet::new()));
+        cache.put(key.clone(), result(isp()));
         assert_eq!((cache.inserts(), cache.len()), (1, 1));
         // The second store still overwrites.
-        assert_eq!(cache.get(&key).unwrap().provenance, "second");
+        assert_eq!(cache.get(&key).unwrap(), result(isp()));
         assert!(cache.invalidate(&key));
-        cache.put(key.clone(), result("third"));
+        cache.put(key.clone(), result(CategorySet::new()));
         assert_eq!((cache.inserts(), cache.len()), (2, 1));
     }
 }

@@ -4,19 +4,15 @@
 //! 140 ASes will need to be updated every week." The loop consumes a
 //! registration-churn stream: new ASes of already-known organizations are
 //! served from the cache, new organizations go through the full pipeline,
-//! and ownership-metadata changes invalidate and re-classify. A community
-//! corrections queue ("submitted corrections will be verified by a human
-//! prior to ASdb integration") is modeled as a reviewed-override store.
+//! and ownership-metadata changes invalidate and re-classify. The paper's
+//! community corrections ("submitted corrections will be verified by a
+//! human prior to ASdb integration") are not modeled.
 
-use crate::cache::{CachedResult, OrgKey};
 use crate::pipeline::{AsdbSystem, Stage};
-use asdb_model::Asn;
-use asdb_taxonomy::CategorySet;
 use asdb_worldgen::churn::{ChurnConfig, DailyChurn};
 use asdb_worldgen::World;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
-use std::collections::HashMap;
 
 /// Aggregate statistics from a maintenance run.
 #[derive(Debug, Clone, Default)]
@@ -31,8 +27,6 @@ pub struct MaintenanceReport {
     pub full_classifications: usize,
     /// Metadata-change invalidations processed.
     pub invalidations: usize,
-    /// Community corrections applied.
-    pub corrections_applied: usize,
 }
 
 impl MaintenanceReport {
@@ -46,23 +40,11 @@ impl MaintenanceReport {
     }
 }
 
-/// A community-submitted correction awaiting human review.
-#[derive(Debug, Clone)]
-pub struct Correction {
-    /// The AS being corrected.
-    pub asn: Asn,
-    /// The proposed labels.
-    pub proposed: CategorySet,
-    /// Whether a human reviewer approved it.
-    pub approved: bool,
-}
-
 /// The maintenance driver.
 pub struct Maintainer<'a> {
     system: &'a AsdbSystem,
     world: &'a World,
     report: MaintenanceReport,
-    overrides: HashMap<Asn, CategorySet>,
 }
 
 impl<'a> Maintainer<'a> {
@@ -72,7 +54,6 @@ impl<'a> Maintainer<'a> {
             system,
             world,
             report: MaintenanceReport::default(),
-            overrides: HashMap::new(),
         }
     }
 
@@ -126,37 +107,6 @@ impl<'a> Maintainer<'a> {
         }
     }
 
-    /// Apply a reviewed community correction; rejected submissions are
-    /// dropped ("verified by a human prior to ASdb integration").
-    pub fn submit_correction(&mut self, correction: Correction) {
-        if !correction.approved {
-            return;
-        }
-        // The override wins over cached data.
-        if let Some(rec) = self.world.as_record(correction.asn) {
-            let key = OrgKey::derive(
-                self.system.select_domain(&rec.parsed).as_ref(),
-                &rec.parsed.name,
-            );
-            if let Some(k) = key {
-                self.system.cache().put(
-                    k,
-                    CachedResult {
-                        categories: correction.proposed.clone(),
-                        provenance: "community-correction".to_owned(),
-                    },
-                );
-            }
-        }
-        self.overrides.insert(correction.asn, correction.proposed);
-        self.report.corrections_applied += 1;
-    }
-
-    /// A manually corrected label, if any.
-    pub fn correction_for(&self, asn: Asn) -> Option<&CategorySet> {
-        self.overrides.get(&asn)
-    }
-
     /// The accumulated report.
     pub fn report(&self) -> &MaintenanceReport {
         &self.report
@@ -179,8 +129,6 @@ impl<'a> Maintainer<'a> {
 mod tests {
     use super::*;
     use asdb_model::{Date, WorldSeed};
-    use asdb_taxonomy::naicslite::known;
-    use asdb_taxonomy::Category;
     use asdb_worldgen::churn::ChurnStream;
     use asdb_worldgen::WorldConfig;
 
@@ -231,26 +179,6 @@ mod tests {
             r.cache_hits,
             r.new_ases
         );
-    }
-
-    #[test]
-    fn corrections_require_approval() {
-        let (w, s) = setup();
-        let mut m = Maintainer::new(&s, &w);
-        let asn = w.ases[0].asn;
-        m.submit_correction(Correction {
-            asn,
-            proposed: CategorySet::single(Category::l2(known::ixp())),
-            approved: false,
-        });
-        assert!(m.correction_for(asn).is_none());
-        m.submit_correction(Correction {
-            asn,
-            proposed: CategorySet::single(Category::l2(known::ixp())),
-            approved: true,
-        });
-        assert!(m.correction_for(asn).is_some());
-        assert_eq!(m.report().corrections_applied, 1);
     }
 
     #[test]

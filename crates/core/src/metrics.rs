@@ -494,7 +494,6 @@ mod tests {
             key,
             crate::cache::CachedResult {
                 categories: asdb_taxonomy::CategorySet::new(),
-                provenance: "test".into(),
             },
         );
         let snap = m.snapshot(&cache);
@@ -568,7 +567,6 @@ mod tests {
             key.clone(),
             crate::cache::CachedResult {
                 categories: asdb_taxonomy::CategorySet::new(),
-                provenance: "test".into(),
             },
         );
         let _ = cache.get(&key);

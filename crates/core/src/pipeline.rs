@@ -426,7 +426,6 @@ impl AsdbSystem {
                         k.clone(),
                         CachedResult {
                             categories: c.categories.clone(),
-                            provenance: c.stage.label().to_owned(),
                         },
                     );
                 }

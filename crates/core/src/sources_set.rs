@@ -138,13 +138,11 @@ impl MatchPolicy<'_> {
     }
 }
 
-/// A fully resolved fan-out: every raw outcome, the matches that survived
-/// the policy (in stable [`SourceId::ASDB_FIVE`] order), and the sources
-/// that were unavailable.
+/// A fully resolved fan-out: the matches that survived the policy (in
+/// stable [`SourceId::ASDB_FIVE`] order) and the sources that were
+/// unavailable.
 #[derive(Debug)]
 pub struct FanoutOutcome {
-    /// Every per-source outcome, in query order.
-    pub outcomes: Vec<SourceOutcome>,
     /// Matches that survived the [`MatchPolicy`].
     pub matches: Vec<SourceMatch>,
     /// Sources that timed out or failed.
@@ -261,25 +259,21 @@ impl SourceFanout {
     ) -> FanoutOutcome {
         let mut matches = Vec::new();
         let mut degraded = Vec::new();
-        for o in &outcomes {
-            match &o.kind {
+        for o in outcomes {
+            match o.kind {
                 OutcomeKind::Matched(m) => {
-                    if policy.rejects(m) {
+                    if policy.rejects(&m) {
                         metrics.record_source_reject(o.source);
                     } else {
                         metrics.record_source_match(o.source);
-                        matches.push(m.clone());
+                        matches.push(m);
                     }
                 }
                 OutcomeKind::NoMatch => {}
                 OutcomeKind::TimedOut | OutcomeKind::Failed => degraded.push(o.source),
             }
         }
-        FanoutOutcome {
-            outcomes,
-            matches,
-            degraded,
-        }
+        FanoutOutcome { matches, degraded }
     }
 }
 
@@ -332,34 +326,54 @@ mod tests {
     fn seeded_faults_replay_identically() {
         let w = World::generate(WorldConfig::small(WorldSeed::new(5)));
         let s = SourceSet::build(&w, WorldSeed::new(6));
-        let metrics = PipelineMetrics::new();
         let policy = MatchPolicy {
             reject_entity_disagreement: false,
             chosen_domain: None,
         };
         let recs = &w.ases[..100];
-        let fanout = |f: &SourceFanout, rec: &asdb_worldgen::AsRecord| {
-            let stage1 = f.stage1(&s, rec.asn, &metrics);
-            // Order-stable collection: PeeringDB then IPinfo, always.
-            assert_eq!(stage1.outcomes[0].source, SourceId::PeeringDb);
-            assert_eq!(stage1.outcomes[1].source, SourceId::Ipinfo);
-            let network_type = stage1.network_type;
-            let query = Query {
-                asn: Some(rec.asn),
-                ..Query::by_name(&rec.parsed.name)
+        let fanout =
+            |f: &SourceFanout, rec: &asdb_worldgen::AsRecord, metrics: &PipelineMetrics| {
+                let stage1 = f.stage1(&s, rec.asn, metrics);
+                // Order-stable collection: PeeringDB then IPinfo, always.
+                assert_eq!(stage1.outcomes[0].source, SourceId::PeeringDb);
+                assert_eq!(stage1.outcomes[1].source, SourceId::Ipinfo);
+                let network_type = stage1.network_type;
+                let query = Query {
+                    asn: Some(rec.asn),
+                    ..Query::by_name(&rec.parsed.name)
+                };
+                let out = f.stage3(&s, &query, stage1, &policy, metrics);
+                (network_type, out.matches, out.degraded)
             };
-            let out = f.stage3(&s, &query, stage1, &policy, &metrics);
-            (network_type, out.outcomes, out.matches, out.degraded)
+        let retries = |metrics: &PipelineMetrics| {
+            let snap = metrics.snapshot(&metrics.build_cache());
+            snap.counters
+                .into_iter()
+                .filter(|(name, _)| name.starts_with("source.") && name.ends_with(".retries"))
+                .collect::<Vec<_>>()
         };
         // Pure fault draws make equal seeds bit-identical, faults and
         // retries included, whatever order the records arrive in.
-        let a = SourceFanout::with_fault_rate(WorldSeed::new(7), 0.3);
-        let b = SourceFanout::with_fault_rate(WorldSeed::new(7), 0.3);
-        let forward: Vec<_> = recs.iter().map(|r| fanout(&a, r)).collect();
-        let mut backward: Vec<_> = recs.iter().rev().map(|r| fanout(&b, r)).collect();
+        let (a, metrics_a) = (
+            SourceFanout::with_fault_rate(WorldSeed::new(7), 0.3),
+            PipelineMetrics::new(),
+        );
+        let (b, metrics_b) = (
+            SourceFanout::with_fault_rate(WorldSeed::new(7), 0.3),
+            PipelineMetrics::new(),
+        );
+        let forward: Vec<_> = recs.iter().map(|r| fanout(&a, r, &metrics_a)).collect();
+        let mut backward: Vec<_> = recs
+            .iter()
+            .rev()
+            .map(|r| fanout(&b, r, &metrics_b))
+            .collect();
         backward.reverse();
         assert_eq!(forward, backward);
-        let degraded: usize = forward.iter().map(|f| f.3.len()).sum();
+        assert_eq!(retries(&metrics_a), retries(&metrics_b));
+        let retried: u64 = retries(&metrics_a).iter().map(|(_, n)| n).sum();
+        assert!(retried > 0, "30% faults never retried");
+        let degraded: usize = forward.iter().map(|f| f.2.len()).sum();
         assert!(degraded > 0, "30% faults never degraded a source");
     }
 
@@ -409,17 +423,29 @@ mod tests {
         let s = SourceSet::build(&w, WorldSeed::new(6));
         let metrics = PipelineMetrics::new();
         let f = SourceFanout::new(WorldSeed::new(8));
-        let rec = &w.ases[0];
-        let stage1 = f.stage1(&s, rec.asn, &metrics);
         let policy = MatchPolicy {
             reject_entity_disagreement: false,
             chosen_domain: None,
         };
-        let query = Query::by_name(&rec.parsed.name);
-        let out = f.stage3(&s, &query, stage1, &policy, &metrics);
-        let order: Vec<SourceId> = out.outcomes.iter().map(|o| o.source).collect();
-        assert_eq!(order, SourceId::ASDB_FIVE.to_vec());
-        assert!(out.degraded.is_empty(), "no faults injected");
+        // Stage 1 runs first, yet its sources' matches follow stage 3's.
+        let mut merged = 0usize;
+        for rec in w.ases.iter().take(100) {
+            let stage1 = f.stage1(&s, rec.asn, &metrics);
+            let query = Query::by_name(&rec.parsed.name);
+            let out = f.stage3(&s, &query, stage1, &policy, &metrics);
+            let rank = |m: &SourceMatch| SourceId::ASDB_FIVE.iter().position(|&id| id == m.source);
+            let order: Vec<_> = out.matches.iter().map(rank).collect();
+            assert!(
+                order.windows(2).all(|p| p[0] < p[1]),
+                "{}: {order:?}",
+                rec.asn
+            );
+            let from_stage1 = out.matches.iter().any(|m| STAGE1.contains(&m.source));
+            let from_stage3 = out.matches.iter().any(|m| STAGE3.contains(&m.source));
+            merged += usize::from(from_stage1 && from_stage3);
+            assert!(out.degraded.is_empty(), "no faults injected");
+        }
+        assert!(merged > 0, "no record matched in both stages");
     }
 
     #[test]

@@ -30,23 +30,6 @@ impl Asn {
     pub const fn value(self) -> u32 {
         self.0
     }
-
-    /// Whether this ASN falls in a private-use range
-    /// (64512–65534 for 16-bit, 4200000000–4294967294 for 32-bit; RFC 6996).
-    pub const fn is_private(self) -> bool {
-        (self.0 >= 64512 && self.0 <= 65534) || (self.0 >= 4_200_000_000 && self.0 <= 4_294_967_294)
-    }
-
-    /// Whether this ASN is reserved for documentation (64496–64511 and
-    /// 65536–65551; RFC 5398).
-    pub const fn is_documentation(self) -> bool {
-        (self.0 >= 64496 && self.0 <= 64511) || (self.0 >= 65536 && self.0 <= 65551)
-    }
-
-    /// Whether the ASN fits in the original 16-bit space.
-    pub const fn is_16bit(self) -> bool {
-        self.0 <= u16::MAX as u32
-    }
 }
 
 impl fmt::Display for Asn {
@@ -142,17 +125,6 @@ mod tests {
         assert!("AS-1".parse::<Asn>().is_err());
         assert!("ASdeadbeef".parse::<Asn>().is_err());
         assert!("4294967296".parse::<Asn>().is_err()); // > u32::MAX
-    }
-
-    #[test]
-    fn private_and_documentation_ranges() {
-        assert!(Asn::new(64512).is_private());
-        assert!(Asn::new(65534).is_private());
-        assert!(!Asn::new(65535).is_private());
-        assert!(Asn::new(4_200_000_000).is_private());
-        assert!(Asn::new(64500).is_documentation());
-        assert!(Asn::new(65540).is_documentation());
-        assert!(!Asn::new(3356).is_documentation());
     }
 
     #[test]

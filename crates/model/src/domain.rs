@@ -229,20 +229,6 @@ impl Url {
         }
     }
 
-    /// Build a URL with an explicit path; a leading `/` is added if missing.
-    pub fn with_path(host: Domain, path: &str) -> Self {
-        let path = if path.starts_with('/') {
-            path.to_owned()
-        } else {
-            format!("/{path}")
-        };
-        Url {
-            scheme: Scheme::Https,
-            host,
-            path,
-        }
-    }
-
     /// Parse an absolute URL.
     pub fn parse(input: &str) -> Result<Self, ModelError> {
         let t = input.trim();
@@ -353,16 +339,8 @@ mod tests {
         let bare = Url::parse("http://example.com").unwrap();
         assert_eq!(bare.path, "/");
         assert_eq!(bare.to_string(), "http://example.com/");
-    }
-
-    #[test]
-    fn url_root_and_with_path() {
-        let d = Domain::new("example.com").unwrap();
-        assert_eq!(Url::root(d.clone()).to_string(), "https://example.com/");
-        assert_eq!(
-            Url::with_path(d, "about").to_string(),
-            "https://example.com/about"
-        );
+        let root = Url::root(Domain::new("example.com").unwrap());
+        assert_eq!(root.to_string(), "https://example.com/");
     }
 
     #[test]

@@ -1,19 +1,10 @@
-//! The JSON the workspace reads and writes: strings, unsigned integers,
-//! arrays and objects.
+//! The JSON the workspace writes: strings, unsigned integers, arrays and
+//! objects.
 //!
 //! The writer emits the bytes `serde_json` does for those shapes (compact,
 //! or pretty with two-space indents); the released dataset format and the
-//! metrics snapshot are pinned to them. The parser accepts any JSON text,
-//! keeps what the subset can hold, and marks any other well-formed scalar
-//! (`true`, `null`, `-1`, `2.5`, `1e3`, an integer past `u64`) as
-//! [`Value::Other`], so readers can skip unknown keys and reject such
-//! values where they expect a subset type.
-
-use std::fmt;
-
-/// Nesting depth past which the parser gives up rather than recurse
-/// further (the limit `serde_json` applies).
-const MAX_DEPTH: usize = 128;
+//! metrics snapshot are pinned to them. Nothing in the workspace reads
+//! JSON back.
 
 /// A JSON value in the workspace's subset.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -24,40 +15,14 @@ pub enum Value {
     Str(String),
     /// An array.
     Arr(Vec<Value>),
-    /// An object, keys in document order (duplicates kept).
+    /// An object, members written in order.
     Obj(Vec<(String, Value)>),
-    /// Any other well-formed scalar. Written as `null`.
-    Other,
-}
-
-/// A syntax error (with its byte offset) or a shape mismatch.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Error(String);
-
-impl fmt::Display for Error {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(&self.0)
-    }
-}
-
-impl std::error::Error for Error {}
-
-impl Error {
-    /// A shape error found by a reader of parsed values.
-    pub fn new(msg: impl Into<String>) -> Error {
-        Error(msg.into())
-    }
 }
 
 impl Value {
     /// An array of strings.
-    pub fn strings<S: AsRef<str>>(items: &[S]) -> Value {
-        Value::Arr(
-            items
-                .iter()
-                .map(|s| Value::Str(s.as_ref().to_owned()))
-                .collect(),
-        )
+    pub fn strings<S: Into<String>>(items: impl IntoIterator<Item = S>) -> Value {
+        Value::Arr(items.into_iter().map(|s| Value::Str(s.into())).collect())
     }
 
     /// Compact text, no whitespace: `{"a":[1,"x"]}`.
@@ -79,7 +44,6 @@ impl Value {
         match self {
             Value::Num(n) => out.push_str(&n.to_string()),
             Value::Str(s) => write_str(out, s),
-            Value::Other => out.push_str("null"),
             Value::Arr(items) => write_seq(out, indent, '[', ']', items, |out, v, ind| {
                 v.write(out, ind)
             }),
@@ -89,74 +53,6 @@ impl Value {
                 v.write(out, ind);
             }),
         }
-    }
-
-    /// The member named `key` of an object; an error when this is not an
-    /// object, or the key is missing or repeated.
-    pub fn field(&self, key: &str) -> Result<&Value, Error> {
-        self.get(key)?
-            .ok_or_else(|| Error(format!("missing field `{key}`")))
-    }
-
-    /// Like [`Value::field`], but a missing key is `None`.
-    pub fn get(&self, key: &str) -> Result<Option<&Value>, Error> {
-        let mut found = self.members()?.iter().filter(|(k, _)| k == key);
-        let first = found.next().map(|(_, v)| v);
-        if found.next().is_some() {
-            return Err(Error(format!("duplicate field `{key}`")));
-        }
-        Ok(first)
-    }
-
-    /// The integer, or an error for any other value.
-    pub fn as_u64(&self) -> Result<u64, Error> {
-        match self {
-            Value::Num(n) => Ok(*n),
-            _ => Err(self.mismatch("an unsigned integer")),
-        }
-    }
-
-    /// The string, or an error for any other value.
-    pub fn as_str(&self) -> Result<&str, Error> {
-        match self {
-            Value::Str(s) => Ok(s),
-            _ => Err(self.mismatch("a string")),
-        }
-    }
-
-    /// The array's items, or an error for any other value.
-    pub fn items(&self) -> Result<&[Value], Error> {
-        match self {
-            Value::Arr(items) => Ok(items),
-            _ => Err(self.mismatch("an array")),
-        }
-    }
-
-    /// The object's members, or an error for any other value.
-    pub fn members(&self) -> Result<&[(String, Value)], Error> {
-        match self {
-            Value::Obj(members) => Ok(members),
-            _ => Err(self.mismatch("an object")),
-        }
-    }
-
-    /// An array of strings, or an error for any other value.
-    pub fn to_strings(&self) -> Result<Vec<String>, Error> {
-        self.items()?
-            .iter()
-            .map(|v| v.as_str().map(str::to_owned))
-            .collect()
-    }
-
-    fn mismatch(&self, expected: &str) -> Error {
-        let found = match self {
-            Value::Num(_) => "an unsigned integer",
-            Value::Str(_) => "a string",
-            Value::Arr(_) => "an array",
-            Value::Obj(_) => "an object",
-            Value::Other => "a value outside the subset",
-        };
-        Error(format!("expected {expected}, found {found}"))
     }
 }
 
@@ -215,243 +111,6 @@ fn write_str(out: &mut String, s: &str) {
     out.push('"');
 }
 
-/// Parse one JSON text: a value with optional surrounding whitespace and
-/// nothing else.
-pub fn parse(text: &str) -> Result<Value, Error> {
-    let mut p = Parser { text, pos: 0 };
-    let value = p.value(0)?;
-    p.skip_ws();
-    if p.pos != text.len() {
-        return Err(p.error("trailing characters"));
-    }
-    Ok(value)
-}
-
-struct Parser<'a> {
-    text: &'a str,
-    pos: usize,
-}
-
-impl Parser<'_> {
-    fn error(&self, msg: &str) -> Error {
-        Error(format!("{msg} at byte {}", self.pos))
-    }
-
-    fn peek(&self) -> Option<u8> {
-        self.text.as_bytes().get(self.pos).copied()
-    }
-
-    fn skip_ws(&mut self) {
-        while matches!(self.peek(), Some(b' ' | b'\t' | b'\n' | b'\r')) {
-            self.pos += 1;
-        }
-    }
-
-    fn expect(&mut self, byte: u8) -> Result<(), Error> {
-        if self.peek() == Some(byte) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(self.error(&format!("expected `{}`", byte as char)))
-        }
-    }
-
-    fn value(&mut self, depth: usize) -> Result<Value, Error> {
-        self.skip_ws();
-        match self.peek() {
-            Some(b'{') => self.object(depth + 1),
-            Some(b'[') => self.array(depth + 1),
-            Some(b'"') => self.string().map(Value::Str),
-            Some(b't') => self.literal("true"),
-            Some(b'f') => self.literal("false"),
-            Some(b'n') => self.literal("null"),
-            Some(b'-' | b'0'..=b'9') => self.number(),
-            Some(_) => Err(self.error("expected a value")),
-            None => Err(self.error("unexpected end of input")),
-        }
-    }
-
-    fn literal(&mut self, word: &str) -> Result<Value, Error> {
-        if self.text[self.pos..].starts_with(word) {
-            self.pos += word.len();
-            Ok(Value::Other)
-        } else {
-            Err(self.error("expected a value"))
-        }
-    }
-
-    fn digits(&mut self) -> usize {
-        let start = self.pos;
-        while matches!(self.peek(), Some(b'0'..=b'9')) {
-            self.pos += 1;
-        }
-        self.pos - start
-    }
-
-    fn number(&mut self) -> Result<Value, Error> {
-        let start = self.pos;
-        let negative = self.peek() == Some(b'-');
-        if negative {
-            self.pos += 1;
-        }
-        let int_start = self.pos;
-        match self.digits() {
-            0 => return Err(self.error("expected a digit")),
-            n if n > 1 && self.text.as_bytes()[int_start] == b'0' => {
-                return Err(self.error("leading zero in a number"))
-            }
-            _ => {}
-        }
-        let mut integer = !negative;
-        if self.peek() == Some(b'.') {
-            self.pos += 1;
-            if self.digits() == 0 {
-                return Err(self.error("expected a digit"));
-            }
-            integer = false;
-        }
-        if matches!(self.peek(), Some(b'e' | b'E')) {
-            self.pos += 1;
-            if matches!(self.peek(), Some(b'+' | b'-')) {
-                self.pos += 1;
-            }
-            if self.digits() == 0 {
-                return Err(self.error("expected a digit"));
-            }
-            integer = false;
-        }
-        let parsed = integer
-            .then(|| self.text[start..self.pos].parse::<u64>().ok())
-            .flatten();
-        Ok(parsed.map_or(Value::Other, Value::Num))
-    }
-
-    fn hex4(&mut self) -> Result<u32, Error> {
-        let digits = self
-            .text
-            .get(self.pos..self.pos + 4)
-            .filter(|h| h.bytes().all(|b| b.is_ascii_hexdigit()))
-            .ok_or_else(|| self.error("expected four hex digits"))?;
-        self.pos += 4;
-        Ok(u32::from_str_radix(digits, 16).expect("four hex digits"))
-    }
-
-    fn string(&mut self) -> Result<String, Error> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        let mut run = self.pos;
-        loop {
-            match self.peek() {
-                None => return Err(self.error("unterminated string")),
-                Some(b'"') => {
-                    out.push_str(&self.text[run..self.pos]);
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    out.push_str(&self.text[run..self.pos]);
-                    self.pos += 1;
-                    out.push(self.escape()?);
-                    run = self.pos;
-                }
-                Some(b) if b < 0x20 => return Err(self.error("control character in a string")),
-                Some(_) => self.pos += 1,
-            }
-        }
-    }
-
-    fn escape(&mut self) -> Result<char, Error> {
-        let byte = self
-            .peek()
-            .ok_or_else(|| self.error("unterminated string"))?;
-        self.pos += 1;
-        Ok(match byte {
-            b'"' => '"',
-            b'\\' => '\\',
-            b'/' => '/',
-            b'b' => '\u{8}',
-            b'f' => '\u{c}',
-            b'n' => '\n',
-            b'r' => '\r',
-            b't' => '\t',
-            b'u' => {
-                let unit = self.hex4()?;
-                let code = match unit {
-                    0xD800..=0xDBFF => {
-                        if !self.text[self.pos..].starts_with("\\u") {
-                            return Err(self.error("lone leading surrogate"));
-                        }
-                        self.pos += 2;
-                        let low = self.hex4()?;
-                        if !(0xDC00..=0xDFFF).contains(&low) {
-                            return Err(self.error("invalid trailing surrogate"));
-                        }
-                        0x1_0000 + ((unit - 0xD800) << 10) + (low - 0xDC00)
-                    }
-                    0xDC00..=0xDFFF => return Err(self.error("lone trailing surrogate")),
-                    _ => unit,
-                };
-                char::from_u32(code).expect("a non-surrogate scalar value")
-            }
-            _ => return Err(self.error("invalid escape")),
-        })
-    }
-
-    fn array(&mut self, depth: usize) -> Result<Value, Error> {
-        if depth > MAX_DEPTH {
-            return Err(self.error("nesting too deep"));
-        }
-        self.expect(b'[')?;
-        let mut items = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(Value::Arr(items));
-        }
-        loop {
-            items.push(self.value(depth)?);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(Value::Arr(items));
-                }
-                _ => return Err(self.error("expected `,` or `]`")),
-            }
-        }
-    }
-
-    fn object(&mut self, depth: usize) -> Result<Value, Error> {
-        if depth > MAX_DEPTH {
-            return Err(self.error("nesting too deep"));
-        }
-        self.expect(b'{')?;
-        let mut members = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(Value::Obj(members));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            self.skip_ws();
-            self.expect(b':')?;
-            members.push((key, self.value(depth)?));
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(Value::Obj(members));
-                }
-                _ => return Err(self.error("expected `,` or `}`")),
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -469,7 +128,7 @@ mod tests {
     fn compact_and_pretty_layouts() {
         let v = obj(&[
             ("a", Value::Num(1)),
-            ("b", Value::strings(&["x", "y"])),
+            ("b", Value::strings(["x", "y"])),
             ("e", Value::Arr(vec![])),
             ("o", obj(&[])),
         ]);
@@ -480,92 +139,39 @@ mod tests {
         );
     }
 
+    /// Known answers: what `serde_json` writes for every control char,
+    /// the two escaped printable chars, DEL and non-ASCII.
     #[test]
     fn strings_escape_like_serde_json() {
-        let mut out = String::new();
-        write_str(&mut out, "q\"b\\n\n\t\r\u{8}\u{c}\u{1}\u{1f}\u{7f}é/😀");
+        const CONTROL: [&str; 32] = [
+            "\\u0000", "\\u0001", "\\u0002", "\\u0003", "\\u0004", "\\u0005", "\\u0006", "\\u0007",
+            "\\b", "\\t", "\\n", "\\u000b", "\\f", "\\r", "\\u000e", "\\u000f", "\\u0010",
+            "\\u0011", "\\u0012", "\\u0013", "\\u0014", "\\u0015", "\\u0016", "\\u0017", "\\u0018",
+            "\\u0019", "\\u001a", "\\u001b", "\\u001c", "\\u001d", "\\u001e", "\\u001f",
+        ];
+        let written = |s: &str| {
+            let mut out = String::new();
+            write_str(&mut out, s);
+            out
+        };
+        for (byte, want) in (0u8..).zip(CONTROL) {
+            assert_eq!(
+                written(&char::from(byte).to_string()),
+                format!("\"{want}\"")
+            );
+        }
+        for (s, want) in [
+            ("\"", r#""\"""#),
+            ("\\", r#""\\""#),
+            ("\u{7f}", "\"\u{7f}\""),
+            ("é/😀 ~", "\"é/😀 ~\""),
+            ("", "\"\""),
+        ] {
+            assert_eq!(written(s), want, "{s:?}");
+        }
         assert_eq!(
-            out,
+            written("q\"b\\n\n\t\r\u{8}\u{c}\u{1}\u{1f}\u{7f}é/😀"),
             "\"q\\\"b\\\\n\\n\\t\\r\\b\\f\\u0001\\u001f\u{7f}é/😀\""
         );
-    }
-
-    #[test]
-    fn parses_escapes_whitespace_and_other_scalars() {
-        let v = parse(" {\"s\" : \"a\\\"\\\\\\/\\u00e9\\ud83d\\ude00\\n\",\n\"n\":[0, 18446744073709551615],\t\"x\":[true,false,null,-1,2.5,1e3,18446744073709551616]} ").unwrap();
-        assert_eq!(v.field("s").unwrap().as_str().unwrap(), "a\"\\/é😀\n");
-        let n = v.field("n").unwrap().items().unwrap();
-        assert_eq!(n, [Value::Num(0), Value::Num(u64::MAX)]);
-        assert!(v
-            .field("x")
-            .unwrap()
-            .items()
-            .unwrap()
-            .iter()
-            .all(|x| *x == Value::Other));
-    }
-
-    #[test]
-    fn every_written_value_parses_back() {
-        let v = obj(&[
-            (
-                "counts",
-                obj(&[("a.b", Value::Num(7)), ("z", Value::Num(0))]),
-            ),
-            ("names", Value::strings(&["tab\there", "ünï", "\u{0}", ""])),
-        ]);
-        assert_eq!(parse(&v.to_compact()).unwrap(), v);
-        assert_eq!(parse(&v.to_pretty()).unwrap(), v);
-    }
-
-    #[test]
-    fn malformed_texts_are_errors() {
-        for bad in [
-            "",
-            "{",
-            "{\"a\":1",
-            "{\"a\":1,}",
-            "[1,]",
-            "[1 2]",
-            "{\"a\" 1}",
-            "{1:2}",
-            "01",
-            "-",
-            "1.",
-            "1e",
-            "\"abc",
-            "\"\\x\"",
-            "\"\\u12\"",
-            "\"\\ud800\"",
-            "\"\\udc00\"",
-            "\"\\ud800\\u0041\"",
-            "\"a\nb\"",
-            "tru",
-            "nul",
-            "{} {}",
-            "[] x",
-            "}",
-        ] {
-            assert!(parse(bad).is_err(), "{bad:?} parsed");
-        }
-    }
-
-    #[test]
-    fn nesting_is_bounded() {
-        let deep = "[".repeat(100_000);
-        assert!(parse(&deep).is_err());
-        let ok = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
-        assert!(parse(&ok).is_ok());
-    }
-
-    #[test]
-    fn field_access_reports_missing_repeated_and_mismatched() {
-        let v = parse(r#"{"a":1,"a":2,"s":"x"}"#).unwrap();
-        assert!(v.field("a").is_err());
-        assert!(v.field("missing").is_err());
-        assert_eq!(v.get("missing").unwrap(), None);
-        assert!(v.field("s").unwrap().as_u64().is_err());
-        assert!(Value::Num(1).field("a").is_err());
-        assert_eq!(v.field("s").unwrap().as_str().unwrap(), "x");
     }
 }

@@ -4,7 +4,7 @@
 //! [`Counter`]s, fixed-bucket log-spaced latency [`Histogram`]s with
 //! p50/p90/p99 summaries, and a named-metric [`Registry`] whose
 //! [`RegistrySnapshot`] renders a latency table and JSON, plus the
-//! workspace's [`json`] reader and writer.
+//! workspace's [`json`] writer.
 //!
 //! The paper's own evaluation is an observability exercise — Table 8
 //! breaks classification down by pipeline mechanism, §5.1 reasons about

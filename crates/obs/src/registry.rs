@@ -2,8 +2,8 @@
 //! renders a latency table and JSON.
 
 use crate::counter::Counter;
-use crate::histogram::{format_nanos, BucketSnapshot, Histogram, HistogramSnapshot};
-use crate::json::{self, Value};
+use crate::histogram::{format_nanos, Histogram, HistogramSnapshot};
+use crate::json::Value;
 use std::collections::BTreeMap;
 use std::sync::{Arc, RwLock};
 
@@ -129,47 +129,6 @@ impl RegistrySnapshot {
         .to_pretty()
     }
 
-    /// Parse a snapshot back from the JSON [`RegistrySnapshot::to_json`]
-    /// writes.
-    pub fn from_json(s: &str) -> Result<RegistrySnapshot, json::Error> {
-        let v = json::parse(s)?;
-        let histogram = |h: &Value| -> Result<HistogramSnapshot, json::Error> {
-            Ok(HistogramSnapshot {
-                count: h.field("count")?.as_u64()?,
-                sum_nanos: h.field("sum_nanos")?.as_u64()?,
-                mean_nanos: h.field("mean_nanos")?.as_u64()?,
-                p50_nanos: h.field("p50_nanos")?.as_u64()?,
-                p90_nanos: h.field("p90_nanos")?.as_u64()?,
-                p99_nanos: h.field("p99_nanos")?.as_u64()?,
-                buckets: h
-                    .field("buckets")?
-                    .items()?
-                    .iter()
-                    .map(|b| {
-                        Ok(BucketSnapshot {
-                            le_nanos: b.field("le_nanos")?.as_u64()?,
-                            count: b.field("count")?.as_u64()?,
-                        })
-                    })
-                    .collect::<Result<_, json::Error>>()?,
-            })
-        };
-        Ok(RegistrySnapshot {
-            counters: v
-                .field("counters")?
-                .members()?
-                .iter()
-                .map(|(k, n)| Ok((k.clone(), n.as_u64()?)))
-                .collect::<Result<_, json::Error>>()?,
-            histograms: v
-                .field("histograms")?
-                .members()?
-                .iter()
-                .map(|(k, h)| Ok((k.clone(), histogram(h)?)))
-                .collect::<Result<_, json::Error>>()?,
-        })
-    }
-
     /// A counter value by name (0 when absent).
     pub fn counter(&self, name: &str) -> u64 {
         self.counters.get(name).copied().unwrap_or(0)
@@ -207,16 +166,46 @@ mod tests {
         assert_eq!(b.get(), 1);
     }
 
+    /// The snapshot's JSON, byte for byte: every counter and histogram
+    /// field by name, non-empty buckets only.
     #[test]
-    fn snapshot_roundtrips_json() {
+    fn snapshot_json_layout() {
         let r = Registry::new();
         r.counter("pipeline.total").add(7);
+        r.counter("cache.hits");
         r.histogram("pipeline.latency").record_nanos(5_000);
         let snap = r.snapshot();
-        let json = snap.to_json();
-        let back = RegistrySnapshot::from_json(&json).unwrap();
-        assert_eq!(snap, back);
-        assert_eq!(back.counter("pipeline.total"), 7);
-        assert_eq!(back.histograms["pipeline.latency"].count, 1);
+        assert_eq!(snap.counter("pipeline.total"), 7);
+        assert_eq!(snap.counter("absent"), 0);
+        let h = &snap.histograms["pipeline.latency"];
+        assert_eq!((h.count, h.sum_nanos, h.buckets.len()), (1, 5_000, 1));
+        let expected = format!(
+            concat!(
+                "{{\n",
+                "  \"counters\": {{\n",
+                "    \"cache.hits\": 0,\n",
+                "    \"pipeline.total\": 7\n",
+                "  }},\n",
+                "  \"histograms\": {{\n",
+                "    \"pipeline.latency\": {{\n",
+                "      \"count\": 1,\n",
+                "      \"sum_nanos\": 5000,\n",
+                "      \"mean_nanos\": {},\n",
+                "      \"p50_nanos\": {},\n",
+                "      \"p90_nanos\": {},\n",
+                "      \"p99_nanos\": {},\n",
+                "      \"buckets\": [\n",
+                "        {{\n",
+                "          \"le_nanos\": {},\n",
+                "          \"count\": 1\n",
+                "        }}\n",
+                "      ]\n",
+                "    }}\n",
+                "  }}\n",
+                "}}",
+            ),
+            h.mean_nanos, h.p50_nanos, h.p90_nanos, h.p99_nanos, h.buckets[0].le_nanos,
+        );
+        assert_eq!(snap.to_json(), expected);
     }
 }

@@ -119,9 +119,9 @@ fn label(cat: &SchemeCategory) -> (String, CategorySet) {
 /// category, precomputed from the [`ZVELO`] scheme. With probability
 /// `kept_prob` the category keeps its own label, the first scheme label
 /// covering it. Otherwise, or when no label covers it, it gets a uniformly
-/// drawn alternative: a same-layer-1 label that does not cover it, or a
-/// generic fallback when there is none (right neighborhood, wrong
-/// subcategory).
+/// drawn alternative: a same-layer-1 label that does not cover it (right
+/// neighborhood, wrong subcategory). The shipped scheme has such a label
+/// for every layer-2 category.
 #[derive(Debug, Clone)]
 struct SchemeMapping {
     kept_prob: f64,
@@ -144,24 +144,15 @@ impl SchemeMapping {
             profile.nontech_kept
         };
         let covers = |cats: &CategorySet| cats.iter().any(|c| c.layer2 == Some(top));
-        let siblings: Vec<_> = labels
+        let alternatives: Vec<_> = labels
             .iter()
             .filter(|(_, cats)| cats.iter().any(|c| c.layer1 == top.layer1) && !covers(cats))
             .cloned()
             .collect();
-        let fallback_names: &[&str] = if top.layer1.is_tech() {
-            &["Internet Services", "Technology (General)"]
-        } else {
-            &["Business Services", "News and Media", "Shopping"]
-        };
-        let alternatives = if siblings.is_empty() {
-            fallback_names
-                .iter()
-                .map(|name| label(ZVELO.category(name).expect("fallbacks exist in scheme")))
-                .collect()
-        } else {
-            siblings
-        };
+        assert!(
+            !alternatives.is_empty(),
+            "every layer-2 category has a same-layer-1 sibling label in the scheme"
+        );
         SchemeMapping {
             kept_prob,
             kept: labels.iter().find(|(_, cats)| covers(cats)).cloned(),

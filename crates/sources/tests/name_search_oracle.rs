@@ -28,13 +28,39 @@ use rand::RngExt;
 use std::collections::{BTreeMap, BTreeSet};
 
 /// The oracle scorer: the string-based `name_similarity` the normalized
-/// one replaced, with its Jaro, Jaro–Winkler and token-set helpers.
+/// one replaced, with its Jaro, Jaro–Winkler and token-set helpers. A
+/// name's inputs (its lowercased chars and token set) are [`Prepared`]
+/// once, so a scan over a registry does not rebuild them per pair; every
+/// step of the score is the original's.
+///
+/// [`Prepared`]: oracle::Prepared
 mod oracle {
     use std::collections::BTreeSet;
+
+    /// What the scorer reads of one name: the chars of the lowercased
+    /// name, and the token set of the lowercased name.
+    pub struct Prepared {
+        chars: Vec<char>,
+        tokens: BTreeSet<String>,
+    }
+
+    impl Prepared {
+        pub fn new(name: &str) -> Prepared {
+            let lower = name.to_lowercase();
+            Prepared {
+                chars: lower.chars().collect(),
+                tokens: tokens(&lower),
+            }
+        }
+    }
 
     pub fn jaro(a: &str, b: &str) -> f64 {
         let a: Vec<char> = a.chars().collect();
         let b: Vec<char> = b.chars().collect();
+        jaro_chars(&a, &b)
+    }
+
+    fn jaro_chars(a: &[char], b: &[char]) -> f64 {
         if a.is_empty() && b.is_empty() {
             return 1.0;
         }
@@ -43,14 +69,16 @@ mod oracle {
         }
         let window = (a.len().max(b.len()) / 2).saturating_sub(1);
         let mut b_taken = vec![false; b.len()];
-        let mut matches_a: Vec<char> = Vec::new();
-        let mut match_positions_b: Vec<usize> = Vec::new();
+        let mut matches_a: Vec<char> = Vec::with_capacity(a.len());
+        let mut match_positions_b: Vec<usize> = Vec::with_capacity(a.len());
         for (i, &ca) in a.iter().enumerate() {
             let lo = i.saturating_sub(window);
             let hi = (i + window + 1).min(b.len());
-            for j in lo..hi {
-                if !b_taken[j] && b[j] == ca {
-                    b_taken[j] = true;
+            let lo = lo.min(hi);
+            let in_window = b[lo..hi].iter().zip(&mut b_taken[lo..hi]);
+            for (j, (&cb, taken)) in (lo..).zip(in_window) {
+                if cb == ca && !*taken {
+                    *taken = true;
                     matches_a.push(ca);
                     match_positions_b.push(j);
                     break;
@@ -74,28 +102,21 @@ mod oracle {
         (m / a.len() as f64 + m / b.len() as f64 + (m - t) / m) / 3.0
     }
 
-    fn jaro_winkler(a: &str, b: &str) -> f64 {
-        let j = jaro(a, b);
-        let prefix = a
-            .chars()
-            .zip(b.chars())
-            .take(4)
-            .take_while(|(x, y)| x == y)
-            .count() as f64;
+    fn jaro_winkler(a: &[char], b: &[char]) -> f64 {
+        let j = jaro_chars(a, b);
+        let prefix = a.iter().zip(b).take(4).take_while(|(x, y)| x == y).count() as f64;
         j + prefix * 0.1 * (1.0 - j)
     }
 
-    fn token_jaccard(a: &str, b: &str) -> f64 {
-        let ta = tokens(a);
-        let tb = tokens(b);
+    fn token_jaccard(ta: &BTreeSet<String>, tb: &BTreeSet<String>) -> f64 {
         if ta.is_empty() && tb.is_empty() {
             return 1.0;
         }
         if ta.is_empty() || tb.is_empty() {
             return 0.0;
         }
-        let inter = ta.intersection(&tb).count() as f64;
-        let union = ta.union(&tb).count() as f64;
+        let inter = ta.intersection(tb).count() as f64;
+        let union = ta.union(tb).count() as f64;
         inter / union
     }
 
@@ -108,14 +129,15 @@ mod oracle {
     }
 
     pub fn name_similarity(a: &str, b: &str) -> f64 {
-        let la = a.to_lowercase();
-        let lb = b.to_lowercase();
-        let jw = jaro_winkler(&la, &lb);
-        let jac = token_jaccard(&la, &lb);
-        let ta = tokens(&la);
-        let tb = tokens(&lb);
+        similarity(&Prepared::new(a), &Prepared::new(b))
+    }
+
+    pub fn similarity(a: &Prepared, b: &Prepared) -> f64 {
+        let jw = jaro_winkler(&a.chars, &b.chars);
+        let jac = token_jaccard(&a.tokens, &b.tokens);
+        let (ta, tb) = (&a.tokens, &b.tokens);
         let subset_bonus =
-            if !ta.is_empty() && !tb.is_empty() && (ta.is_subset(&tb) || tb.is_subset(&ta)) {
+            if !ta.is_empty() && !tb.is_empty() && (ta.is_subset(tb) || tb.is_subset(ta)) {
                 0.85
             } else {
                 0.0
@@ -125,13 +147,22 @@ mod oracle {
     }
 }
 
-/// The oracle search: the linear scan that scored every entry, returning
-/// the first best entry's index, its score and the runner-up's score.
-fn linear_best_two(reg: &BusinessRegistry, name: &str) -> Option<(usize, f64, f64)> {
+/// The oracle's score of `name` against every entry of `reg`, in index
+/// order.
+fn scores(reg: &BusinessRegistry, name: &str) -> Vec<f64> {
+    let name = oracle::Prepared::new(name);
+    reg.iter()
+        .map(|e| oracle::similarity(&name, &oracle::Prepared::new(&e.listed_name)))
+        .collect()
+}
+
+/// The oracle search: the linear scan that scored every entry, given the
+/// scores in index order, returning the first best entry's index, its
+/// score and the runner-up's score.
+fn linear_best_two(scores: impl IntoIterator<Item = f64>) -> Option<(usize, f64, f64)> {
     let mut best: Option<(usize, f64)> = None;
     let mut second: f64 = 0.0;
-    for (i, e) in reg.iter().enumerate() {
-        let s = oracle::name_similarity(name, &e.listed_name);
+    for (i, s) in scores.into_iter().enumerate() {
         match best {
             Some((_, bs)) if bs >= s => {
                 if s > second {
@@ -186,6 +217,28 @@ fn check_world(seed: u64) {
     let build_seed = WorldSeed::new(seed).derive("sources");
     let dnb = Dnb::build(&world, build_seed);
     let crunchbase = Crunchbase::build(&world, build_seed);
+    // The two registries share most listed names: each distinct one is
+    // prepared once and scored once per query, and each entry reads its
+    // name's score.
+    let listed: Vec<&str> = dnb
+        .registry()
+        .iter()
+        .chain(crunchbase.registry().iter())
+        .map(|e| e.listed_name.as_str())
+        .collect::<BTreeSet<_>>()
+        .into_iter()
+        .collect();
+    let prepared: Vec<_> = listed.iter().map(|n| oracle::Prepared::new(n)).collect();
+    let slots = |reg: &BusinessRegistry| -> Vec<usize> {
+        reg.iter()
+            .map(|e| {
+                listed
+                    .binary_search(&e.listed_name.as_str())
+                    .expect("listed")
+            })
+            .collect()
+    };
+    let (dnb_slots, crunchbase_slots) = (slots(dnb.registry()), slots(crunchbase.registry()));
     let mut queries: BTreeMap<&str, BTreeSet<Option<&str>>> = BTreeMap::new();
     for r in &world.ases {
         let address = r.parsed.address.as_deref();
@@ -195,11 +248,16 @@ fn check_world(seed: u64) {
             .insert(address);
     }
     for (name, addresses) in queries {
+        let query = oracle::Prepared::new(name);
+        let score: Vec<f64> = prepared
+            .iter()
+            .map(|listed| oracle::similarity(&query, listed))
+            .collect();
         let reg = dnb.registry();
         let pruned = reg
             .best_two_name_match(name)
             .map(|(e, s, r)| (index_of(reg, e), s, r));
-        let linear = linear_best_two(reg, name);
+        let linear = linear_best_two(dnb_slots.iter().map(|&k| score[k]));
         assert_capped(pruned, linear, &format!("D&B, seed {seed}, name {name:?}"));
         for address in addresses {
             let query = Query {
@@ -221,7 +279,7 @@ fn check_world(seed: u64) {
         let pruned = reg
             .best_name_match_at_least(name, 0.82)
             .map(|(e, s)| (index_of(reg, e), s.to_bits()));
-        let linear = linear_best_two(reg, name)
+        let linear = linear_best_two(crunchbase_slots.iter().map(|&k| score[k]))
             .filter(|&(_, s, _)| s >= 0.82)
             .map(|(i, s, _)| (i, s.to_bits()));
         assert_eq!(pruned, linear, "Crunchbase, seed {seed}, name {name:?}");
@@ -346,7 +404,7 @@ fn pruned_searches_equal_the_linear_scan_on_small_random_registries() {
                 |_, _| true,
                 |_, _| (String::new(), CategorySet::new()),
             );
-            let linear = linear_best_two(&reg, &query);
+            let linear = linear_best_two(scores(&reg, &query));
             for min in [0.0, 0.60, 0.82] {
                 let pruned = reg
                     .best_name_match_at_least(&query, min)

@@ -40,8 +40,6 @@ impl Default for ScrapeConfig {
 pub struct ScrapeResult {
     /// Concatenated visible text of all visited pages.
     pub text: String,
-    /// Paths visited, root first.
-    pub visited: Vec<String>,
 }
 
 impl ScrapeResult {
@@ -58,7 +56,7 @@ impl ScrapeResult {
 ///
 /// Pages are fetched by host and path and read as [`html::spans`]: the
 /// visible text goes straight into the result, anchors are matched in
-/// place, and only a followed link's path is copied (into `visited`).
+/// place, and a link's href is copied only to unescape an `&` in it.
 pub fn scrape<F: Fetcher>(
     fetcher: &F,
     domain: &Domain,
@@ -68,7 +66,6 @@ pub fn scrape<F: Fetcher>(
     // Visible text is never longer than its markup.
     let mut text = String::with_capacity(root.markup.len());
     let links = push_page_text(&root.markup, &mut text);
-    let mut visited = vec!["/".to_owned()];
 
     let mut followed = 0usize;
     for span in links {
@@ -86,11 +83,10 @@ pub fn scrape<F: Fetcher>(
             text.reserve(page.markup.len() + 1);
             text.push('\n');
             push_page_text(&page.markup, &mut text);
-            visited.push(href.into_owned());
             followed += 1;
         }
     }
-    Ok(ScrapeResult { text, visited })
+    Ok(ScrapeResult { text })
 }
 
 /// Append the visible text of the page `markup` to `out`, as
@@ -183,6 +179,33 @@ mod tests {
     use asdb_model::WorldSeed;
     use asdb_taxonomy::naicslite::known;
     use std::borrow::Cow;
+    use std::cell::RefCell;
+
+    /// Scrape through a fetcher that records the path of every page it
+    /// served, in order: the pages the scraper read.
+    fn scrape_recorded<F: Fetcher>(
+        fetcher: F,
+        domain: &Domain,
+        config: &ScrapeConfig,
+    ) -> (ScrapeResult, Vec<String>) {
+        struct Recording<F> {
+            inner: F,
+            served: RefCell<Vec<String>>,
+        }
+        impl<F: Fetcher> Fetcher for Recording<F> {
+            fn fetch(&self, host: &Domain, path: &str) -> Result<Fetched<'_>, FetchError> {
+                let page = self.inner.fetch(host, path)?;
+                self.served.borrow_mut().push(path.to_owned());
+                Ok(page)
+            }
+        }
+        let recording = Recording {
+            inner: fetcher,
+            served: RefCell::new(Vec::new()),
+        };
+        let result = scrape(&recording, domain, config).expect("the root is served");
+        (result, recording.served.into_inner())
+    }
 
     fn hosted(quirks: SiteQuirks) -> (SimWeb, Domain) {
         let domain = Domain::new("scrapeme.example").unwrap();
@@ -201,13 +224,13 @@ mod tests {
     #[test]
     fn scrapes_root_and_keyword_internal_pages() {
         let (web, domain) = hosted(SiteQuirks::default());
-        let r = scrape(&web, &domain, &ScrapeConfig::default()).unwrap();
-        assert!(r.visited.len() >= 2, "visited: {:?}", r.visited);
-        assert!(r.visited[0] == "/");
+        let (r, visited) = scrape_recorded(web, &domain, &ScrapeConfig::default());
+        assert!(visited.len() >= 2, "visited: {visited:?}");
+        assert!(visited[0] == "/");
         assert!(r.is_substantive());
         assert!(r.text.to_lowercase().contains("hosting"));
         // The privacy decoy must NOT be followed (no keyword in anchor).
-        assert!(!r.visited.contains(&"/privacy".to_owned()));
+        assert!(!visited.contains(&"/privacy".to_owned()));
     }
 
     #[test]
@@ -217,8 +240,8 @@ mod tests {
             max_internal_pages: 1,
             ..ScrapeConfig::default()
         };
-        let r = scrape(&web, &domain, &cfg).unwrap();
-        assert!(r.visited.len() <= 2);
+        let (_, visited) = scrape_recorded(web, &domain, &cfg);
+        assert!(visited.len() <= 2);
     }
 
     #[test]
@@ -229,8 +252,8 @@ mod tests {
             unlinked_internal: true,
             ..SiteQuirks::default()
         });
-        let r = scrape(&web, &domain, &ScrapeConfig::default()).unwrap();
-        assert_eq!(r.visited, vec!["/"]);
+        let (_, visited) = scrape_recorded(web, &domain, &ScrapeConfig::default());
+        assert_eq!(visited, vec!["/"]);
     }
 
     #[test]
@@ -297,13 +320,12 @@ mod tests {
                 }
             }
         }
-        let r = scrape(
-            &Flaky,
+        let (r, visited) = scrape_recorded(
+            Flaky,
             &Domain::new("flaky.example").unwrap(),
             &ScrapeConfig::default(),
-        )
-        .unwrap();
-        assert_eq!(r.visited, vec!["/", "/services"]);
+        );
+        assert_eq!(visited, vec!["/", "/services"]);
         assert!(r.text.contains("service text"));
     }
 
@@ -326,12 +348,11 @@ mod tests {
                 })
             }
         }
-        let r = scrape(
-            &External,
+        let (_, visited) = scrape_recorded(
+            External,
             &Domain::new("self.example").unwrap(),
             &ScrapeConfig::default(),
-        )
-        .unwrap();
-        assert_eq!(r.visited, vec!["/"]);
+        );
+        assert_eq!(visited, vec!["/"]);
     }
 }

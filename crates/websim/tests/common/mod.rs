@@ -11,14 +11,14 @@ use rand::RngExt;
 
 /// The replaced owned parser and scraper: every element's text unescaped
 /// into its own `String` with a four-`replace` chain, a whole [`Page`]
-/// built per fetched page, `Url`s built per fetch, and each anchor
-/// lowercased into a new `String` before it is split.
+/// built per fetched page, each anchor lowercased into a new `String`
+/// before it is split, and the path of each page read kept.
 ///
 /// [`Page`]: asdb_websim::Page
 pub mod old {
-    use asdb_model::{Domain, Url};
+    use asdb_model::Domain;
     use asdb_websim::html::Link;
-    use asdb_websim::scraper::{ScrapeConfig, ScrapeResult};
+    use asdb_websim::scraper::ScrapeConfig;
     use asdb_websim::{FetchError, Fetcher, Page};
 
     pub fn parse(markup: &str) -> Page {
@@ -75,13 +75,20 @@ pub mod old {
         parts.join("\n")
     }
 
+    /// What [`scrape`] read: the visible text, and the paths of the pages
+    /// it came from, root first.
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    pub struct Scraped {
+        pub text: String,
+        pub visited: Vec<String>,
+    }
+
     pub fn scrape<F: Fetcher>(
         fetcher: &F,
         domain: &Domain,
         config: &ScrapeConfig,
-    ) -> Result<ScrapeResult, FetchError> {
-        let root_url = Url::root(domain.clone());
-        let root = fetcher.fetch(&root_url.host, &root_url.path)?;
+    ) -> Result<Scraped, FetchError> {
+        let root = fetcher.fetch(domain, "/")?;
         let root_page = parse(&root.markup);
         let mut text = visible_text(&root_page);
         let mut visited = vec!["/".to_owned()];
@@ -101,8 +108,8 @@ pub mod old {
             if !matches {
                 continue;
             }
-            let url = Url::with_path(domain.clone(), &link.href);
-            match fetcher.fetch(&url.host, &url.path) {
+            // An internal href starts with `/`, so it is the path as is.
+            match fetcher.fetch(domain, &link.href) {
                 Ok(f) => {
                     text.push('\n');
                     text.push_str(&visible_text(&parse(&f.markup)));
@@ -112,7 +119,7 @@ pub mod old {
                 Err(_) => continue,
             }
         }
-        Ok(ScrapeResult { text, visited })
+        Ok(Scraped { text, visited })
     }
 
     fn read_text_until<'a>(input: &'a str, close: &str) -> Option<(&'a str, &'a str)> {

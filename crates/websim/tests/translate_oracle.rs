@@ -385,10 +385,7 @@ fn detect_matches_oracle_on_mixed_languages_and_every_white_space() {
         foreign += usize::from(got != Language::English);
         english += usize::from(got == Language::English);
 
-        let page = ScrapeResult {
-            text: text.clone(),
-            visited: vec!["/".to_owned()],
-        };
+        let page = ScrapeResult { text: text.clone() };
         let want = text.split_whitespace().count() >= 10;
         assert_eq!(page.is_substantive(), want, "{text:?}");
         substantive[usize::from(want)] += 1;

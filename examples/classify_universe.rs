@@ -69,8 +69,4 @@ fn main() {
         results.len(),
         dump.len() / 1024
     );
-    let (parsed, skipped) = dataset::read_jsonl(&dump);
-    assert_eq!(parsed.len(), results.len());
-    assert_eq!(skipped, 0);
-    println!("Round-trip parse OK.");
 }

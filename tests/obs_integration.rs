@@ -107,22 +107,20 @@ fn ml_histogram_reconciles_with_ml_counters() {
 }
 
 #[test]
-fn metrics_snapshot_roundtrips_through_json() {
+fn metrics_json_renders_the_live_snapshot() {
     let (w, s) = build();
     let records: Vec<_> = w.ases.iter().take(40).map(|r| r.parsed.clone()).collect();
     let _ = classify_batch_cached(&s, &records, 2);
 
     let snap = s.metrics_snapshot();
-    let json = s.metrics_json();
-    let back = RegistrySnapshot::from_json(&json).expect("snapshot parses back");
-    assert_eq!(snap, back);
+    assert_eq!(s.metrics_json(), snap.to_json());
 
     // The snapshot carries the live numbers, not zeros.
-    assert_eq!(back.counter("batch.records"), 40);
-    assert!(back.counter("source.dnb.queries") > 0);
-    assert!(back.histograms.contains_key("pipeline.classify"));
+    assert_eq!(snap.counter("batch.records"), 40);
+    assert!(snap.counter("source.dnb.queries") > 0);
+    assert!(snap.histograms.contains_key("pipeline.classify"));
     assert_eq!(
-        back.counter("cache.inserts"),
+        snap.counter("cache.inserts"),
         s.cache().inserts(),
         "registry cache counters are the OrgCache's own"
     );
