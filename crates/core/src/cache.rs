@@ -17,6 +17,7 @@ use asdb_model::{Domain, OrgName};
 use asdb_obs::Counter;
 use asdb_taxonomy::CategorySet;
 use std::collections::HashMap;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, RwLock};
 
 /// The cache key: how ASdb recognizes "the same organization" across ASes.
@@ -51,37 +52,47 @@ pub struct CachedResult {
 ///
 /// Lookup/store traffic is counted on shared [`Counter`]s so reuse across
 /// same-org ASes (§5.1) is observable; a metrics registry supplies them
-/// via [`OrgCache::with_counters`].
+/// via [`OrgCache::with_counters`], with the switch that turns its
+/// recording off.
 #[derive(Debug)]
 pub struct OrgCache {
     map: RwLock<HashMap<OrgKey, CachedResult>>,
     hits: Arc<Counter>,
     misses: Arc<Counter>,
     inserts: Arc<Counter>,
+    counting: Arc<AtomicBool>,
 }
 
 impl OrgCache {
     /// Empty cache whose traffic counters are shared with a metrics
-    /// registry.
+    /// registry. Traffic is counted only while `counting` is set.
     pub fn with_counters(
         hits: Arc<Counter>,
         misses: Arc<Counter>,
         inserts: Arc<Counter>,
+        counting: Arc<AtomicBool>,
     ) -> OrgCache {
         OrgCache {
             map: RwLock::new(HashMap::new()),
             hits,
             misses,
             inserts,
+            counting,
         }
+    }
+
+    fn counting(&self) -> bool {
+        self.counting.load(Ordering::Relaxed)
     }
 
     /// Look up a key, counting a hit or a miss.
     pub fn get(&self, key: &OrgKey) -> Option<CachedResult> {
         let hit = self.map.read().expect("cache lock").get(key).cloned();
-        match &hit {
-            Some(_) => self.hits.inc(),
-            None => self.misses.inc(),
+        if self.counting() {
+            match &hit {
+                Some(_) => self.hits.inc(),
+                None => self.misses.inc(),
+            }
         }
         hit
     }
@@ -97,7 +108,7 @@ impl OrgCache {
             .expect("cache lock")
             .insert(key, result)
             .is_none();
-        if created {
+        if created && self.counting() {
             self.inserts.inc();
         }
     }
@@ -209,8 +220,12 @@ mod tests {
         let hits = Arc::new(Counter::new());
         let misses = Arc::new(Counter::new());
         let inserts = Arc::new(Counter::new());
-        let cache =
-            OrgCache::with_counters(Arc::clone(&hits), Arc::clone(&misses), Arc::clone(&inserts));
+        let cache = OrgCache::with_counters(
+            Arc::clone(&hits),
+            Arc::clone(&misses),
+            Arc::clone(&inserts),
+            Arc::new(AtomicBool::new(true)),
+        );
         let key = OrgKey::Name("acme".into());
         let _ = cache.get(&key);
         cache.put(key.clone(), result(CategorySet::new()));
@@ -218,6 +233,24 @@ mod tests {
         assert_eq!(hits.get(), 1);
         assert_eq!(misses.get(), 1);
         assert_eq!(inserts.get(), 1);
+    }
+
+    #[test]
+    fn switched_off_metrics_silence_the_cache_counters() {
+        let metrics = crate::PipelineMetrics::new();
+        let cache = metrics.build_cache();
+        let key = OrgKey::Name("acme".into());
+        metrics.set_enabled(false);
+        assert!(cache.get(&key).is_none());
+        cache.put(key.clone(), result(isp()));
+        // The cache still serves while it does not count.
+        assert_eq!(cache.get(&key), Some(result(isp())));
+        assert_eq!((cache.hits(), cache.misses(), cache.inserts()), (0, 0, 0));
+        metrics.set_enabled(true);
+        assert!(cache.get(&key).is_some());
+        assert!(cache.get(&OrgKey::Name("zenith".into())).is_none());
+        cache.put(OrgKey::Name("zenith".into()), result(isp()));
+        assert_eq!((cache.hits(), cache.misses(), cache.inserts()), (1, 1, 1));
     }
 
     #[test]

@@ -13,7 +13,7 @@ use asdb_taxonomy::naicslite::known;
 use asdb_textml::pipeline::PipelineConfig;
 use asdb_textml::{SgdEnsemble, TextFeaturizer};
 use asdb_websim::scraper::{scrape, ScrapeConfig};
-use asdb_websim::{Fetcher, Translator};
+use asdb_websim::{FetchError, Fetcher, PageRead, Translator};
 use asdb_worldgen::World;
 
 /// The two trained classifiers plus the shared scraping, translation and
@@ -85,14 +85,27 @@ impl MlClassifiers {
         }
     }
 
-    /// Scrape + translate + classify one domain. `None` when the site is
-    /// unreachable or yields no text.
+    /// Read + classify one domain: [`MlClassifiers::read`], then
+    /// [`MlClassifiers::score`]. `None` when the site is unreachable or
+    /// yields no text.
     pub fn classify<F: Fetcher>(&self, web: &F, domain: &Domain) -> Option<MlVerdict> {
-        let res = scrape(web, domain, &self.scrape_config).ok()?;
-        if !res.is_substantive() {
+        self.score(&self.read(web, domain).ok()?)
+    }
+
+    /// Read a domain's site with the Figure 3 scraper: its text and
+    /// detected language, or the fetch error.
+    pub fn read<F: Fetcher>(&self, web: &F, domain: &Domain) -> Result<PageRead, FetchError> {
+        PageRead::read(web, domain, &self.scrape_config)
+    }
+
+    /// Translate + classify a read page. `None` when it yields no text
+    /// (fewer than ten words).
+    pub fn score(&self, read: &PageRead) -> Option<MlVerdict> {
+        if !read.page.is_substantive() {
             return None;
         }
-        Some(self.classify_text(&self.translator.translate(&res.text)))
+        let english = self.translator.translate_as(&read.page.text, read.language);
+        Some(self.classify_text(&english))
     }
 
     /// Classify pre-scraped, pre-translated text: the second half of

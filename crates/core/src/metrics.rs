@@ -14,8 +14,8 @@
 //! is only touched at construction and snapshot time.
 //! [`PipelineMetrics::set_enabled`] turns every `record_*` call into a
 //! no-op, so the cost of instrumentation can be measured by switching it
-//! off. The `cache.hits`, `cache.misses` and `cache.inserts` counters are
-//! the [`OrgCache`]'s own and keep counting while it is off.
+//! off. The [`OrgCache`] counts its `cache.hits`, `cache.misses` and
+//! `cache.inserts` itself and reads the same switch.
 
 use crate::cache::OrgCache;
 use crate::pipeline::{Classification, Stage};
@@ -67,7 +67,8 @@ fn source_index(id: SourceId) -> Option<usize> {
 #[derive(Debug)]
 pub struct PipelineMetrics {
     registry: Registry,
-    enabled: AtomicBool,
+    /// Shared with the [`OrgCache`]s built here.
+    enabled: Arc<AtomicBool>,
 
     // Table 8: which mechanism produced each label.
     stage: [Arc<Counter>; Stage::ALL.len()],
@@ -170,7 +171,7 @@ impl PipelineMetrics {
             batch_wall: registry.histogram("batch.wall"),
             batch_worker_wall: registry.histogram("batch.worker_wall"),
             registry,
-            enabled: AtomicBool::new(true),
+            enabled: Arc::new(AtomicBool::new(true)),
         }
     }
 
@@ -180,20 +181,21 @@ impl PipelineMetrics {
         self.enabled.load(Ordering::Relaxed)
     }
 
-    /// Turn every `record_*` call into a no-op (or back on), e.g. to
-    /// measure what instrumentation costs. The cache's own `cache.hits`,
-    /// `cache.misses` and `cache.inserts` counters are not switched.
+    /// Turn every `record_*` call, and the traffic counting of every cache
+    /// from [`PipelineMetrics::build_cache`], into a no-op (or back on),
+    /// e.g. to measure what instrumentation costs.
     pub fn set_enabled(&self, on: bool) {
         self.enabled.store(on, Ordering::Relaxed);
     }
 
     /// Build an [`OrgCache`] whose hit/miss/insert traffic
-    /// lands in this registry's `cache.*` counters.
+    /// lands in this registry's `cache.*` counters while recording is on.
     pub fn build_cache(&self) -> OrgCache {
         OrgCache::with_counters(
             Arc::clone(&self.cache_hits),
             Arc::clone(&self.cache_misses),
             Arc::clone(&self.cache_inserts),
+            Arc::clone(&self.enabled),
         )
     }
 
@@ -352,8 +354,7 @@ impl PipelineMetrics {
 
     /// Serializable snapshot of every metric. `cache` supplies current
     /// occupancy (a gauge, synced into `cache.entries` at snapshot time
-    /// whether or not metrics are enabled, like the cache's own traffic
-    /// counters beside it).
+    /// whether or not metrics are enabled).
     pub fn snapshot(&self, cache: &OrgCache) -> RegistrySnapshot {
         self.cache_entries.store(cache.len() as u64);
         self.registry.snapshot()
@@ -486,8 +487,8 @@ mod tests {
         assert_eq!(m.stage_total(), 0);
         let snap = m.snapshot(&cache);
         assert!(snap.counters.values().all(|v| *v == 0));
-        // The cache's own traffic counters and its occupancy gauge are not
-        // switched off.
+        // The cache's traffic counters are switched off too; its
+        // occupancy gauge is not.
         let key = crate::cache::OrgKey::Name("acme".into());
         let _ = cache.get(&key);
         cache.put(
@@ -497,8 +498,8 @@ mod tests {
             },
         );
         let snap = m.snapshot(&cache);
-        assert_eq!(snap.counter("cache.misses"), 1);
-        assert_eq!(snap.counter("cache.inserts"), 1);
+        assert_eq!(snap.counter("cache.misses"), 0);
+        assert_eq!(snap.counter("cache.inserts"), 0);
         assert_eq!(snap.counter("cache.hits"), 0);
         assert_eq!(snap.counter("cache.entries"), 1);
         m.set_enabled(true);

@@ -331,11 +331,15 @@ impl AsdbSystem {
                 d
             }
         };
+        // The chosen domain's site is read once, for the ML detectors and
+        // for Zvelo in stage 3; the `pipeline.ml` sample includes the read.
+        let t_ml = std::time::Instant::now();
+        let read = chosen_domain.as_ref().map(|d| self.ml.read(&self.web, d));
         let ml = if options.use_ml {
-            let t_ml = std::time::Instant::now();
-            let verdict = chosen_domain
+            let verdict = read
                 .as_ref()
-                .and_then(|d| self.ml.classify(&self.web, d));
+                .and_then(|r| r.as_ref().ok())
+                .and_then(|r| self.ml.score(r));
             if let Some(v) = &verdict {
                 self.metrics.record_ml(v.fired(), t_ml.elapsed());
             }
@@ -360,9 +364,14 @@ impl AsdbSystem {
             reject_entity_disagreement: options.reject_entity_disagreement,
             chosen_domain: chosen_domain.as_ref(),
         };
-        let resolved = self
-            .fanout
-            .stage3(&self.sources, &query, stage1, &policy, &self.metrics);
+        let resolved = self.fanout.stage3_read(
+            &self.sources,
+            &query,
+            read.as_ref(),
+            stage1,
+            &policy,
+            &self.metrics,
+        );
         self.metrics.record_source_phase(t_sources.elapsed());
 
         self.consensus(
@@ -534,6 +543,7 @@ impl AsdbSystem {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use asdb_sources::DataSource;
     use asdb_worldgen::WorldConfig;
 
     fn setup() -> (World, AsdbSystem) {
@@ -550,6 +560,87 @@ mod tests {
         assert!(std::ptr::eq(s.sources.zvelo.web(), Arc::as_ptr(&w.web)));
         // The world, the system and Zvelo: one web, three handles.
         assert_eq!(Arc::strong_count(&w.web), 3);
+    }
+
+    /// The pipeline's one read per record, on every chosen domain of three
+    /// standard worlds (live, unreachable and non-substantive sites): ML
+    /// scoring the read equals [`MlClassifiers::classify`], Zvelo scoring
+    /// it equals its own `search`, and a faulty fan-out handed the read
+    /// equals one where Zvelo reads the site itself, outcomes, retries and
+    /// counters included. The generator writes no page of fewer than ten
+    /// words, so every tenth live site is cut down to a root page of a few
+    /// words in its own language first.
+    #[test]
+    fn one_read_serves_ml_and_zvelo_on_standard_worlds() {
+        let bits = |v: MlVerdict| (v.p_isp.to_bits(), v.p_hosting.to_bits());
+        for seed in 1..=3 {
+            let mut w = World::generate(WorldConfig::standard(WorldSeed::new(seed)));
+            let web = Arc::get_mut(&mut w.web).expect("the world holds the only handle");
+            for org in w.orgs.iter().filter(|o| o.live_site).step_by(10) {
+                let Some(domain) = &org.domain else { continue };
+                let page = asdb_websim::Page {
+                    title: org.legal_name.as_str().to_owned(),
+                    paragraphs: vec![org.language.mangle_text("fiber and cloud")],
+                    ..asdb_websim::Page::default()
+                };
+                web.host(asdb_websim::Website {
+                    domain: domain.clone(),
+                    pages: [("/".to_owned(), page.render())].into(),
+                });
+            }
+            let s = AsdbSystem::build(&w, WorldSeed::new(seed)).with_fault_rate(0.2);
+            let (shared, own) = (PipelineMetrics::new(), PipelineMetrics::new());
+            let (mut live, mut thin, mut unreachable) = (0usize, 0usize, 0usize);
+            for rec in &w.ases {
+                let whois = &rec.parsed;
+                let Some(d) = s.select_domain(whois) else {
+                    continue;
+                };
+                let read = s.ml.read(&s.web, &d);
+                match &read {
+                    Ok(r) if r.page.is_substantive() => live += 1,
+                    Ok(_) => thin += 1,
+                    Err(_) => unreachable += 1,
+                }
+                let what = format!("seed {seed}, {}, {d}", whois.asn);
+                let scored = read.as_ref().ok().and_then(|r| s.ml.score(r));
+                assert_eq!(
+                    scored.map(bits),
+                    s.ml.classify(&s.web, &d).map(bits),
+                    "{what}"
+                );
+                let query = Query {
+                    asn: Some(whois.asn),
+                    name: Some(whois.name.clone()),
+                    domain: Some(d.clone()),
+                    address: whois.address.clone(),
+                    phone: whois.phone.clone(),
+                };
+                let zvelo = &s.sources.zvelo;
+                assert_eq!(
+                    zvelo.search_read(&query, &read),
+                    zvelo.search(&query),
+                    "{what}"
+                );
+                let policy = MatchPolicy {
+                    reject_entity_disagreement: true,
+                    chosen_domain: Some(&d),
+                };
+                let stage1 = s.fanout.stage1(&s.sources, whois.asn, &shared);
+                let a =
+                    s.fanout
+                        .stage3_read(&s.sources, &query, Some(&read), stage1, &policy, &shared);
+                let stage1 = s.fanout.stage1(&s.sources, whois.asn, &own);
+                let b = s.fanout.stage3(&s.sources, &query, stage1, &policy, &own);
+                assert_eq!((a.matches, a.degraded), (b.matches, b.degraded), "{what}");
+            }
+            let counters = |m: &PipelineMetrics| m.snapshot(&m.build_cache()).counters;
+            assert_eq!(counters(&shared), counters(&own), "seed {seed}");
+            assert!(
+                live > 1_000 && thin > 100 && unreachable > 100,
+                "seed {seed}: {live} live, {thin} thin, {unreachable} unreachable"
+            );
+        }
     }
 
     #[test]

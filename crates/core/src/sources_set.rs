@@ -6,6 +6,9 @@
 //! search goes through [`transport::call`] (bounded retry over a seeded
 //! [`NetworkSim`]), and the ASN stage and the name/domain stage each call
 //! their sources one after another, collecting outcomes in a fixed order.
+//! The pipeline's stage 3 hands the fan-out the record's one read of the
+//! chosen domain's site, and Zvelo's call scores that read
+//! ([`SourceFanout::stage3_read`]).
 //! The pipeline consumes typed [`SourceOutcome`]s, so "the source had
 //! nothing" and "the source was unavailable" stay distinct: the §3.5
 //! partial-coverage consensus runs on whatever subset answered, and the
@@ -30,6 +33,7 @@ use asdb_sources::transport::{self, NetworkSim, OutcomeKind, SourceOutcome};
 use asdb_sources::zvelo::Zvelo;
 use asdb_sources::{DataSource, Query, SourceId, SourceMatch};
 use asdb_taxonomy::schemes::PeeringDbType;
+use asdb_websim::{FetchError, PageRead};
 use asdb_worldgen::World;
 
 /// ASdb's five production sources (Table 1: "ASdb uses D&B, Crunchbase,
@@ -172,22 +176,34 @@ impl SourceFanout {
     }
 
     /// Issue one query to each of `ids`, in `ids` order, and collect the
-    /// outcomes in that order. Transport accounting (queries, retries,
-    /// timeouts, failures) is recorded here, at call time;
-    /// match/reject resolution happens later in [`SourceFanout::resolve`].
+    /// outcomes in that order. With `read`, Zvelo's call scores that read
+    /// of the query's domain instead of reading the site again. Transport
+    /// accounting (queries, retries, timeouts, failures) is recorded here,
+    /// at call time; match/reject resolution happens later in
+    /// [`SourceFanout::resolve`].
     fn calls(
         &self,
         sources: &SourceSet,
         ids: &[SourceId],
         query: &Query,
+        read: Option<&Result<PageRead, FetchError>>,
         metrics: &PipelineMetrics,
     ) -> Vec<SourceOutcome> {
         let t = std::time::Instant::now();
         let outcomes = ids
             .iter()
             .map(|&id| {
-                let source = sources.get(id).expect("ASdb-five source present");
-                let out = transport::call(&self.sim, source, query);
+                let out = match read {
+                    Some(read) if id == SourceId::Zvelo => {
+                        transport::call_with(&self.sim, id, query, || {
+                            sources.zvelo.search_read(query, read)
+                        })
+                    }
+                    _ => {
+                        let source = sources.get(id).expect("ASdb-five source present");
+                        transport::call(&self.sim, source, query)
+                    }
+                };
                 metrics.record_source_outcome(&out);
                 out
             })
@@ -201,7 +217,7 @@ impl SourceFanout {
     /// — a degraded PeeringDB disables the shortcut rather than silently
     /// answering from data the transport never delivered.
     pub fn stage1(&self, sources: &SourceSet, asn: Asn, metrics: &PipelineMetrics) -> Stage1 {
-        let outcomes = self.calls(sources, &STAGE1, &Query::by_asn(asn), metrics);
+        let outcomes = self.calls(sources, &STAGE1, &Query::by_asn(asn), None, metrics);
         let network_type = if outcomes[0].is_degraded() {
             None
         } else {
@@ -217,7 +233,8 @@ impl SourceFanout {
 
     /// Stage 3: query the web sources (D&B, Crunchbase, Zvelo), merge with
     /// the stage-1 outcomes into stable [`SourceId::ASDB_FIVE`] order, and
-    /// resolve everything against the match policy.
+    /// resolve everything against the match policy. Zvelo reads the
+    /// query's domain itself.
     pub fn stage3(
         &self,
         sources: &SourceSet,
@@ -226,7 +243,24 @@ impl SourceFanout {
         policy: &MatchPolicy<'_>,
         metrics: &PipelineMetrics,
     ) -> FanoutOutcome {
-        let mut outcomes = self.calls(sources, &STAGE3, query, metrics);
+        self.stage3_read(sources, query, None, stage1, policy, metrics)
+    }
+
+    /// [`SourceFanout::stage3`] where `read`, when given, is the record's
+    /// one read of `query.domain`: Zvelo scores it
+    /// ([`Zvelo::search_read`]) rather than reading the site again, and a
+    /// failed read is its no-match. The call still goes through the
+    /// transport, so faults, retries and counters are those of `stage3`.
+    pub fn stage3_read(
+        &self,
+        sources: &SourceSet,
+        query: &Query,
+        read: Option<&Result<PageRead, FetchError>>,
+        stage1: Stage1,
+        policy: &MatchPolicy<'_>,
+        metrics: &PipelineMetrics,
+    ) -> FanoutOutcome {
+        let mut outcomes = self.calls(sources, &STAGE3, query, read, metrics);
         outcomes.extend(stage1.outcomes);
         SourceFanout::resolve(outcomes, policy, metrics)
     }

@@ -11,7 +11,7 @@
 //! three are implemented so the entity-resolution experiment can reproduce
 //! the comparison.
 
-use crate::similarity::name_similarity;
+use crate::similarity::NormName;
 use asdb_model::{Domain, WorldSeed};
 use asdb_websim::html;
 use asdb_websim::Fetcher;
@@ -113,13 +113,17 @@ pub fn select_domain<F: Fetcher>(
             .min_by_key(|(d, c)| (*c, d.as_str().to_owned()))
             .map(|(d, _)| d.clone()),
         DomainStrategy::MostSimilar => {
+            // The AS name is normalized once for every candidate's two
+            // scores (`NormName::similarity` is `name_similarity`).
+            let reference = NormName::new(reference_name);
+            let similarity = |other: &str| reference.similarity(&NormName::new(other));
             let mut best: Option<(f64, Domain)> = None;
             for (d, _) in &pool {
                 let title = homepage_title(fetcher, d)
                     .unwrap_or_else(|| d.as_str().replace(['.', '-'], " "));
-                let score = name_similarity(reference_name, &title)
+                let score = similarity(&title)
                     // Tie-break toward name/domain affinity as well.
-                    .max(name_similarity(reference_name, d.leftmost_label()) * 0.98);
+                    .max(similarity(d.leftmost_label()) * 0.98);
                 match &best {
                     Some((s, _)) if *s >= score => {}
                     _ => best = Some((score, d.clone())),

@@ -53,13 +53,25 @@ impl SourceOutcome {
 /// query has none). The first clean attempt runs the search; if every
 /// attempt faults, the last fault decides the outcome.
 pub fn call(sim: &NetworkSim, source: &dyn DataSource, query: &Query) -> SourceOutcome {
-    let id = source.id();
+    call_with(sim, source.id(), query, || source.search(query))
+}
+
+/// [`call`] with the search of source `id` given as `search`, run once on
+/// the first clean attempt: the pipeline's Zvelo call scores a page read
+/// the record already made. Faults and retries are drawn exactly as for
+/// [`call`].
+pub fn call_with(
+    sim: &NetworkSim,
+    id: SourceId,
+    query: &Query,
+    search: impl FnOnce() -> Option<SourceMatch>,
+) -> SourceOutcome {
     let asn = query.asn.unwrap_or(Asn::new(0));
     let mut retries = 0;
     let kind = loop {
         match sim.fault(id, asn, retries) {
             None => {
-                break match source.search(query) {
+                break match search() {
                     Some(m) => OutcomeKind::Matched(m),
                     None => OutcomeKind::NoMatch,
                 }

@@ -19,7 +19,7 @@
 pub mod client;
 pub mod sim;
 
-pub use client::{call, OutcomeKind, SourceOutcome, MAX_RETRIES};
+pub use client::{call, call_with, OutcomeKind, SourceOutcome, MAX_RETRIES};
 pub use sim::{Fault, NetworkSim};
 
 #[cfg(test)]

@@ -17,6 +17,12 @@
 //! internet/technology labels (25% hosting recall vs 81% ISP). The labels
 //! each layer-2 category can map to are looked up in the scheme once, when
 //! the service is built; a classification only draws among them.
+//!
+//! The real Zvelo fetches each page itself. The simulated web serves the
+//! same bytes to every reader (no latency, no state), so the pipeline
+//! reads a record's chosen domain once and Zvelo scores that read
+//! ([`Zvelo::search_read`]); [`DataSource::search`] and
+//! [`DataSource::lookup_org`] still read the site themselves.
 
 use crate::profile;
 use crate::{DataSource, Query, SourceId, SourceMatch};
@@ -25,9 +31,9 @@ use asdb_taxonomy::naicslite::known;
 use asdb_taxonomy::schemes::{SchemeCategory, ZVELO};
 use asdb_taxonomy::{CategorySet, Layer2};
 use asdb_textml::for_each_word;
-use asdb_websim::scraper::{scrape, ScrapeConfig};
+use asdb_websim::scraper::{PageRead, ScrapeConfig};
 use asdb_websim::vocab::vocabulary;
-use asdb_websim::{SimWeb, Translator};
+use asdb_websim::{FetchError, SimWeb, Translator};
 use asdb_worldgen::World;
 use rand::rngs::StdRng;
 use rand::seq::IndexedRandom;
@@ -81,15 +87,50 @@ impl Zvelo {
         &self.web
     }
 
-    /// Classify a domain's website content. `None` when the site is
+    /// Classify a domain's website content: [`Zvelo::read`], then
+    /// [`Zvelo::classify_read`]. `None` when the site is
     /// unreachable/nonexistent.
     pub fn classify_domain(&self, domain: &Domain) -> Option<(String, CategorySet)> {
-        let result = scrape(&self.web, domain, &self.scrape_config).ok()?;
-        let english = self.translator.translate(&result.text);
+        Some(self.classify_read(domain, &self.read(domain).ok()?))
+    }
+
+    /// Read a domain's site as Zvelo's crawler does (the Figure 3 scraper's
+    /// default configuration): its text and detected language, or the
+    /// fetch error.
+    pub fn read(&self, domain: &Domain) -> Result<PageRead, FetchError> {
+        PageRead::read(&*self.web, domain, &self.scrape_config)
+    }
+
+    /// Classify a read of `domain`'s site: translate it, score it against
+    /// the category vocabularies and map the top category to a Zvelo
+    /// label; a page with no clear topic is parked.
+    pub fn classify_read(&self, domain: &Domain, read: &PageRead) -> (String, CategorySet) {
+        let english = self.translator.translate_as(&read.page.text, read.language);
         match self.index.top_category(&english) {
-            Some(top) => Some(self.map_to_scheme(top, domain)),
-            None => Some(self.parked.clone()),
+            Some(top) => self.map_to_scheme(top, domain),
+            None => self.parked.clone(),
         }
+    }
+
+    /// [`DataSource::search`] given `read`, a read of the query's domain
+    /// made elsewhere: the pipeline reads a record's chosen domain once
+    /// for its own classifiers and Zvelo alike. `None` without a domain or
+    /// when the read failed, as when Zvelo reads the site itself.
+    pub fn search_read(
+        &self,
+        query: &Query,
+        read: &Result<PageRead, FetchError>,
+    ) -> Option<SourceMatch> {
+        let domain = query.domain.as_ref()?;
+        let (raw_label, categories) = self.classify_read(domain, read.as_ref().ok()?);
+        Some(SourceMatch {
+            source: SourceId::Zvelo,
+            entity: None, // Zvelo knows pages, not companies.
+            domain: Some(domain.clone()),
+            raw_label,
+            categories,
+            confidence: None,
+        })
     }
 
     /// Zvelo's taxonomy mapping with the calibrated ambiguity noise: the
@@ -306,15 +347,7 @@ impl DataSource for Zvelo {
 
     fn search(&self, query: &Query) -> Option<SourceMatch> {
         let domain = query.domain.as_ref()?;
-        let (raw_label, categories) = self.classify_domain(domain)?;
-        Some(SourceMatch {
-            source: SourceId::Zvelo,
-            entity: None, // Zvelo knows pages, not companies.
-            domain: Some(domain.clone()),
-            raw_label,
-            categories,
-            confidence: None,
-        })
+        self.search_read(query, &self.read(domain))
     }
 }
 
@@ -323,6 +356,7 @@ mod tests {
     use super::*;
     use asdb_model::WorldSeed;
     use asdb_taxonomy::Category;
+    use asdb_websim::scraper::scrape;
     use asdb_worldgen::WorldConfig;
     use rand::check::{self, class_string, CASES};
     use std::collections::HashSet;

@@ -24,6 +24,7 @@ use asdb_taxonomy::CategorySet;
 use asdb_worldgen::{World, WorldConfig};
 use rand::check::{self, any_string, class_string, vec_of};
 use rand::rngs::StdRng;
+use rand::seq::SliceRandom;
 use rand::RngExt;
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -314,11 +315,76 @@ fn draw_name(rng: &mut StdRng) -> String {
     }
 }
 
+/// Distinct lower-case words for a family of related names.
+fn draw_words(rng: &mut StdRng) -> Vec<String> {
+    let words: BTreeSet<String> = vec_of(rng, 1..7, |r| class_string(r, "a-z", 2..=8))
+        .into_iter()
+        .collect();
+    let mut words: Vec<String> = words.into_iter().collect();
+    words.shuffle(rng);
+    words
+}
+
+/// A random part of `words`, possibly none or all of them.
+fn some_of(rng: &mut StdRng, words: &[String]) -> Vec<String> {
+    let p = rng.random_range(0.2..=1.0);
+    words
+        .iter()
+        .filter(|_| rng.random_bool(p))
+        .cloned()
+        .collect()
+}
+
+/// A spelling of `words` as registries and WHOIS write names: reordered,
+/// each word in any case, joined by one separator, maybe with a legal
+/// suffix and trailing punctuation. Its token set is that of `words`
+/// (legal suffixes are no tokens).
+fn spell(rng: &mut StdRng, words: &[String]) -> String {
+    let mut words: Vec<String> = words
+        .iter()
+        .map(|w| match rng.random_range(0u32..4) {
+            0 => w.to_uppercase(),
+            1 => w[..1].to_uppercase() + &w[1..],
+            _ => w.clone(),
+        })
+        .collect();
+    words.shuffle(rng);
+    let sep = [" ", ", ", "-", " & ", ". "][rng.random_range(0..5)];
+    let mut name = words.join(sep);
+    if rng.random_bool(0.5) {
+        let suffix = LEGAL_SUFFIXES[rng.random_range(0..LEGAL_SUFFIXES.len())];
+        name.push_str([" ", ", ", " "][rng.random_range(0..3)]);
+        name.push_str(&suffix.to_uppercase());
+    }
+    name.push_str(["", "", ".", ",", " ()"][rng.random_range(0..5)]);
+    name
+}
+
+/// Two names one of whose token sets holds the other's, in either order:
+/// the pairs the subset bonus scores.
+fn subset_pair(rng: &mut StdRng) -> (String, String) {
+    let words = draw_words(rng);
+    let part = some_of(rng, &words);
+    let (a, b) = (spell(rng, &part), spell(rng, &words));
+    if rng.random_bool(0.5) {
+        (a, b)
+    } else {
+        (b, a)
+    }
+}
+
 #[test]
 fn normalized_score_is_bit_equal_and_bounded() {
+    let mut bonus_decides = 0usize;
     check::cases(
         4096,
-        |rng| (draw_name(rng), draw_name(rng)),
+        |rng| {
+            if rng.random_bool(0.3) {
+                subset_pair(rng)
+            } else {
+                (draw_name(rng), draw_name(rng))
+            }
+        },
         |(a, b)| {
             let expected = oracle::name_similarity(&a, &b);
             let (na, nb) = (NormName::new(&a), NormName::new(&b));
@@ -333,8 +399,12 @@ fn normalized_score_is_bit_equal_and_bounded() {
             assert!(bound >= score, "bound {bound} < score {score}");
             // A floor the score reaches never prunes.
             assert_eq!(na.similarity_at_least(&nb, score), Some(score));
+            bonus_decides += usize::from(score == 0.85);
         },
     );
+    // Many pairs score exactly the subset bonus: neither Jaro–Winkler nor
+    // Jaccard beats it there, so its value decides the score.
+    assert!(bonus_decides > 200, "{bonus_decides} pairs at the bonus");
 }
 
 #[test]
@@ -349,6 +419,11 @@ fn degenerate_names_score_like_the_oracle() {
         ("Ltd.", "Ltd."),
         ("Üñí Çødé GmbH", "üñí çødé"),
         ("\u{212A}elvin", "kelvin"),
+        // One token set inside the other, where the subset bonus is the
+        // score: reordered, with suffix and punctuation noise.
+        ("Acme", "Acme Widgets Global Holdings"),
+        ("Global Acme, Inc.", "acme-widgets & GLOBAL systems LLC"),
+        ("Nortel Ridge", "Ridge Valley Nortel Telecom Corp."),
     ] {
         let expected = oracle::name_similarity(a, b);
         assert_eq!(
@@ -361,17 +436,55 @@ fn degenerate_names_score_like_the_oracle() {
     }
 }
 
+/// The floors the searches prune against: D&B's `MIN_MATCHABLE_BEST −
+/// AMBIGUITY_SPAN` and the `min` of the thresholded searches below.
+const FLOORS: [f64; 3] = [MIN_MATCHABLE_BEST - AMBIGUITY_SPAN, 0.60, 0.82];
+
+/// A query and a registry of names related to it: spellings of parts of
+/// the query's words, some with other words added. Of many drawn names
+/// it keeps those the oracle scores just above or just below a floor
+/// (within 0.05), and a few others.
+fn near_floor_registry(rng: &mut StdRng) -> (Vec<String>, String) {
+    let words = draw_words(rng);
+    let part = some_of(rng, &words);
+    let query = spell(rng, &part);
+    let prepared = oracle::Prepared::new(&query);
+    let mut names: Vec<String> = Vec::new();
+    for _ in 0..120 {
+        let mut variant = some_of(rng, &words);
+        variant.extend(vec_of(rng, 0..3, |r| class_string(r, "a-z", 2..=8)));
+        let name = spell(rng, &variant);
+        let score = oracle::similarity(&prepared, &oracle::Prepared::new(&name));
+        if FLOORS.iter().any(|f| (score - f).abs() < 0.05) || rng.random_bool(0.05) {
+            names.push(name);
+        }
+        if names.len() == 40 {
+            break;
+        }
+    }
+    if names.is_empty() {
+        names.push(query.clone());
+    }
+    (names, query)
+}
+
 /// Standard worlds have no listed name without tokens, and few exact ties
 /// on either side of the split between entries that share a query token
 /// and entries that do not. Small random registries of degenerate names,
 /// with forced duplicates, cover both: the empty-token query's full pass,
-/// and ties visited out of index order.
+/// and ties visited out of index order. Registries of related names
+/// ([`near_floor_registry`]) put entries on both sides of every floor,
+/// where pruning one entry too many changes the result.
 #[test]
 fn pruned_searches_equal_the_linear_scan_on_small_random_registries() {
     let world = World::generate(WorldConfig::small(WorldSeed::new(5)));
+    let mut near_floor = 0usize;
     check::cases(
         1024,
         |rng| {
+            if rng.random_bool(0.5) {
+                return near_floor_registry(rng);
+            }
             let mut names: Vec<String> = Vec::new();
             for _ in 0..rng.random_range(1..=40) {
                 let name = match names.len() {
@@ -404,7 +517,12 @@ fn pruned_searches_equal_the_linear_scan_on_small_random_registries() {
                 |_, _| true,
                 |_, _| (String::new(), CategorySet::new()),
             );
-            let linear = linear_best_two(scores(&reg, &query));
+            let scored = scores(&reg, &query);
+            near_floor += scored
+                .iter()
+                .filter(|&&s| FLOORS.iter().any(|f| (s - f).abs() < 0.05))
+                .count();
+            let linear = linear_best_two(scored);
             for min in [0.0, 0.60, 0.82] {
                 let pruned = reg
                     .best_name_match_at_least(&query, min)
@@ -420,4 +538,5 @@ fn pruned_searches_equal_the_linear_scan_on_small_random_registries() {
             assert_capped(pruned, linear, "best two");
         },
     );
+    assert!(near_floor > 5_000, "{near_floor} entries near a floor");
 }

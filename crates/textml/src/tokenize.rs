@@ -15,7 +15,11 @@
 //!   pass: [`crate::CountVectorizer::transform`] and Zvelo's scorer in
 //!   `asdb-sources`. It yields words, not tokens; a caller that needs
 //!   tokens applies the stopword and number filter itself, or (as the
-//!   vectorizer does) probes a vocabulary that holds neither.
+//!   vectorizer does) probes a vocabulary that holds neither. Page text
+//!   is almost all lower-case ASCII words, so the splitter tests the text
+//!   eight bytes at a time in one `u64` (SWAR, "SIMD within a register",
+//!   in safe Rust) and steps over runs of lower-case letters and digits;
+//!   only the bytes outside such runs are looked at one by one.
 //! * [`tokens`] — an iterator of [`Cow<str>`] tokens, used to fit a
 //!   vocabulary. Tokens that are already lower-case ASCII are borrowed
 //!   straight from the input; only tokens that need case-folding
@@ -82,44 +86,95 @@ pub fn tokens(text: &str) -> impl Iterator<Item = Cow<'_, str>> {
 /// Call `f` once per lower-cased word of `text`, in order (see the module
 /// docs for what a word is; stopwords and numbers are *not* dropped).
 ///
-/// The scan is byte-level: ASCII bytes are classified directly, and a
+/// The scan is byte-level and walks the text in blocks of eight bytes.
+/// Each block is loaded as one `u64` and `outside_lower_alnum` flags
+/// its bytes that are not lower-case ASCII letters or digits, which hold
+/// most of a page's bytes; a block with no flag is stepped over whole,
+/// and within a block the scan jumps from flag to flag by
+/// `trailing_zeros() / 8`. Of the flagged bytes, an upper-case ASCII
+/// letter marks the word for folding, any other ASCII byte ends it, and a
 /// char is decoded, and tested with `char::is_alphanumeric`, only where a
-/// non-ASCII byte starts one. An all-ASCII word is passed as a slice of
-/// `text` when it holds no upper-case byte, else folded in `buf` with
-/// `make_ascii_lowercase`. A word holding a non-ASCII char goes through
-/// `str::to_lowercase` (not per-char folding, so context-sensitive rules
-/// like the final sigma stay exact). No allocation happens on the ASCII
-/// path once `buf` has grown to the longest cased word.
+/// non-ASCII byte starts one (its other bytes are passed over). An
+/// all-ASCII word is passed as a slice of `text` when it holds no
+/// upper-case byte, else folded in `buf` with `make_ascii_lowercase`. A
+/// word holding a non-ASCII char goes through `str::to_lowercase` (not
+/// per-char folding, so context-sensitive rules like the final sigma stay
+/// exact). No allocation happens on the ASCII path once `buf` has grown
+/// to the longest cased word.
 pub fn for_each_word(text: &str, buf: &mut String, mut f: impl FnMut(&str)) {
     let bytes = text.as_bytes();
     let mut start = 0;
     let mut upper = false;
     let mut non_ascii = false;
-    let mut i = 0;
-    while i < bytes.len() {
-        let b = bytes[i];
-        if b.is_ascii_alphanumeric() {
-            upper |= b.is_ascii_uppercase();
-            i += 1;
-            continue;
-        }
-        let (alnum, width) = if b.is_ascii() {
-            (false, 1)
-        } else {
-            let c = text[i..].chars().next().expect("i is on a char boundary");
-            (c.is_alphanumeric(), c.len_utf8())
+    // Flags before `resume` are the continuation bytes of a char already
+    // decoded.
+    let mut resume = 0;
+    let mut block = 0;
+    while block < bytes.len() {
+        let mut flags = match bytes.get(block..block + 8) {
+            Some(eight) => outside_lower_alnum(eight.try_into().expect("eight bytes")),
+            None => {
+                // The last, short block: pad it with a byte that is never
+                // flagged.
+                let mut eight = [b'a'; 8];
+                eight[..bytes.len() - block].copy_from_slice(&bytes[block..]);
+                outside_lower_alnum(eight)
+            }
         };
-        if alnum {
-            non_ascii = true;
-        } else {
-            emit_word(&text[start..i], upper, non_ascii, buf, &mut f);
-            start = i + width;
-            upper = false;
-            non_ascii = false;
+        while flags != 0 {
+            let i = block + flags.trailing_zeros() as usize / 8;
+            flags &= flags - 1;
+            if i < resume {
+                continue;
+            }
+            let b = bytes[i];
+            if b.is_ascii_uppercase() {
+                upper = true;
+                continue;
+            }
+            let (alnum, width) = if b.is_ascii() {
+                (false, 1)
+            } else {
+                let c = text[i..].chars().next().expect("i is on a char boundary");
+                (c.is_alphanumeric(), c.len_utf8())
+            };
+            if alnum {
+                non_ascii = true;
+            } else {
+                emit_word(&text[start..i], upper, non_ascii, buf, &mut f);
+                start = i + width;
+                upper = false;
+                non_ascii = false;
+            }
+            resume = i + width;
         }
-        i += width;
+        block += 8;
     }
     emit_word(&text[start..], upper, non_ascii, buf, &mut f);
+}
+
+/// The bytes of `eight` that are not lower-case ASCII letters or ASCII
+/// digits, as the high bit of each byte of a little-endian `u64` (byte
+/// `k` is bit `8k + 7`).
+///
+/// All eight are tested at once with plain `u64` arithmetic (SWAR, "SIMD
+/// within a register"). With each byte's high bit cleared, adding
+/// `0x80 - lo` sets the high bit exactly when the byte is at least `lo`,
+/// and adding `0x7F - hi` exactly when it is above `hi`; no sum reaches
+/// `0x100`, so no carry crosses into the next byte. A byte is inside when
+/// it lies in `a..=z` or `0..=9` and its own high bit was clear (it is
+/// ASCII).
+#[inline]
+fn outside_lower_alnum(eight: [u8; 8]) -> u64 {
+    const fn splat(b: u8) -> u64 {
+        u64::from_ne_bytes([b; 8])
+    }
+    const HIGHS: u64 = splat(0x80);
+    let x = u64::from_le_bytes(eight);
+    let y = x & !HIGHS;
+    let in_range = |lo: u8, hi: u8| (y + splat(0x80 - lo)) & !(y + splat(0x7F - hi));
+    let inside = (in_range(b'a', b'z') | in_range(b'0', b'9')) & !x;
+    !inside & HIGHS
 }
 
 /// Fold and pass on one raw word of [`for_each_word`], if it is at least
@@ -161,6 +216,7 @@ pub(crate) const WORD_CHARS: &str = "A-Za-z0-9_' \u{A0}ÉßΣ\u{212A}\u{130}\u{3
 mod tests {
     use super::*;
     use rand::check::{self, any_string, class_string, CASES};
+    use rand::RngExt;
 
     #[test]
     fn stopwords_are_sorted_for_binary_search() {
@@ -268,6 +324,81 @@ mod tests {
                 }
             },
         );
+    }
+
+    /// Bytes on both edges of `a..=z` and `0..=9` (`` ` `` `{` `/` `:`),
+    /// upper-case letters, and non-ASCII chars holding bytes whose low
+    /// seven bits spell a letter or digit (the Kelvin sign's lead `0xE2`,
+    /// `ð`'s `0xB0`).
+    const EDGE_CHARS: &str = "a-z0-9`{/:@[A-Z \u{212A}ð";
+
+    /// The SWAR mask flags exactly the bytes a byte test flags: every pair
+    /// of byte values in every two neighbouring lanes, so a carry out of
+    /// one byte's sum would show in the next.
+    #[test]
+    fn outside_lower_alnum_matches_a_byte_test() {
+        let expected = |eight: [u8; 8]| -> u64 {
+            (0..8)
+                .filter(|&k| !matches!(eight[k], b'a'..=b'z' | b'0'..=b'9'))
+                .map(|k| 0x80 << (8 * k))
+                .sum()
+        };
+        for k in 0..7 {
+            for a in 0..=u8::MAX {
+                for b in 0..=u8::MAX {
+                    let mut eight = *b"z{a9`0/:";
+                    eight[k] = a;
+                    eight[k + 1] = b;
+                    assert_eq!(outside_lower_alnum(eight), expected(eight), "{eight:?}");
+                }
+            }
+        }
+    }
+
+    /// Texts of edge bytes split like a `char` split, at every length
+    /// around the eight-byte blocks.
+    #[test]
+    fn edge_chars_split_like_a_char_split() {
+        check::cases(
+            CASES,
+            |rng| class_string(rng, EDGE_CHARS, 0..=40),
+            |s| assert_eq!(words(&s), char_split(&s), "{s:?}"),
+        );
+    }
+
+    /// Lower-case runs of every length up to 40 between other chars give
+    /// the words of a `char` split, numbers and stopwords included: the
+    /// eight-byte blocks start and end at every offset of a run.
+    #[test]
+    fn long_lower_case_runs_give_the_words_of_a_char_split() {
+        check::cases(
+            CASES,
+            |rng| {
+                let mut text = String::new();
+                for _ in 0..rng.random_range(0..12) {
+                    text.push_str(&class_string(rng, "a-z0-9", 0..=40));
+                    text.push_str(&class_string(rng, WORD_CHARS, 1..=2));
+                }
+                text
+            },
+            |s| assert_eq!(words(&s), char_split(&s), "{s:?}"),
+        );
+    }
+
+    /// Every word of [`for_each_word`], owned.
+    fn words(text: &str) -> Vec<String> {
+        let mut buf = String::new();
+        let mut words = Vec::new();
+        for_each_word(text, &mut buf, |w| words.push(w.to_owned()));
+        words
+    }
+
+    /// The words of the rule written with a `char` split.
+    fn char_split(text: &str) -> Vec<String> {
+        text.split(|c: char| !c.is_alphanumeric())
+            .filter(|w| w.len() >= 2)
+            .map(str::to_lowercase)
+            .collect()
     }
 
     /// All three entry points agree on arbitrary input.

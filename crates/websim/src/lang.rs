@@ -8,10 +8,13 @@
 //! deliberately lossy at a small configurable rate — real MT also garbles
 //! words — so the ML pipeline sees realistic post-translation text.
 //!
-//! Both the ML detectors and Zvelo translate every page they scrape, so
+//! Both the ML detectors and Zvelo translate every page they classify, so
 //! detection and the rebuild work on bytes: one scan finds the words, and
 //! each word costs one probe of its last bytes. Only a non-ASCII word, or
-//! a lead byte that can start a non-ASCII space, pays for Unicode.
+//! a lead byte that can start a non-ASCII space, pays for Unicode. A page
+//! is detected once per read ([`crate::scraper::PageRead`]); each
+//! translator then rebuilds it in that language
+//! ([`Translator::translate_as`]) with its own seed and loss draws.
 
 use asdb_model::WorldSeed;
 use rand::rngs::StdRng;
@@ -269,9 +272,17 @@ impl Translator {
         Translator::new(0.0, seed)
     }
 
-    /// Translate text to English. English input is borrowed back unchanged
-    /// and without loss; the ML detectors and Zvelo translate every
-    /// scraped page, English or not, and most pages are English.
+    /// Translate text to English: [`Translator::translate_as`] in the
+    /// language [`Language::detect`] finds.
+    pub fn translate<'a>(&self, text: &'a str) -> Cow<'a, str> {
+        self.translate_as(text, Language::detect(text))
+    }
+
+    /// Translate text whose language is already known: `lang` is
+    /// [`Language::detect`] of `text`, passed in by a caller that detected
+    /// it once for several translators (the pipeline's one page read feeds
+    /// both the ML detectors and Zvelo). English input is borrowed back
+    /// unchanged and without loss; most pages are English.
     ///
     /// Foreign text is written word by word into one output buffer. Words
     /// are split on the ASCII bytes `b'\n'` and `b' '`, so a byte search
@@ -279,8 +290,7 @@ impl Translator {
     /// other words by `push_stripped`. A lossy translator draws one loss
     /// decision per `' '`-separated word of each line, empty words
     /// included, and a lost word takes its separating space with it.
-    pub fn translate<'a>(&self, text: &'a str) -> Cow<'a, str> {
-        let lang = Language::detect(text);
+    pub fn translate_as<'a>(&self, text: &'a str, lang: Language) -> Cow<'a, str> {
         if lang == Language::English {
             return Cow::Borrowed(text);
         }

@@ -25,7 +25,9 @@
 //! * [`fetch`]: a simulated HTTP fetcher with deterministic
 //!   failure modes behind a [`fetch::Fetcher`] trait;
 //! * [`scraper`]: the paper's scraper — root page plus up to five internal
-//!   pages whose link titles contain the Figure 3 keyword list.
+//!   pages whose link titles contain the Figure 3 keyword list — and
+//!   [`PageRead`], one scrape with its detected language, which the
+//!   pipeline makes once per record for both of its website classifiers.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -40,5 +42,5 @@ pub mod vocab;
 pub use fetch::{FetchError, Fetcher, SimWeb};
 pub use html::Page;
 pub use lang::{Language, Translator};
-pub use scraper::{scrape, ScrapeConfig, ScrapeResult};
+pub use scraper::{scrape, PageRead, ScrapeConfig, ScrapeResult};
 pub use site::{SiteQuirks, SiteSpec, Website};

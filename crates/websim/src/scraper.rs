@@ -8,6 +8,7 @@
 
 use crate::fetch::{FetchError, Fetcher};
 use crate::html::{self, Page, Span};
+use crate::lang::Language;
 use asdb_model::Domain;
 
 /// The Figure 3 keyword list: words that "most frequently appear in the
@@ -46,6 +47,33 @@ impl ScrapeResult {
     /// Whether any meaningful text came back: at least ten words.
     pub fn is_substantive(&self) -> bool {
         self.text.split_whitespace().nth(9).is_some()
+    }
+}
+
+/// One read of a domain's website: the scraped text and the language
+/// [`Language::detect`] finds in it. The pipeline reads a record's chosen
+/// domain once and hands the same read to the ML detectors and to Zvelo,
+/// which each translate it with their own [`crate::Translator`]. A read
+/// lives for one record; nothing keeps it.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct PageRead {
+    /// What the scraper returned.
+    pub page: ScrapeResult,
+    /// The detected language of `page.text`.
+    pub language: Language,
+}
+
+impl PageRead {
+    /// [`scrape`] the domain and detect the text's language; the scrape's
+    /// error when the root page is unavailable.
+    pub fn read<F: Fetcher>(
+        fetcher: &F,
+        domain: &Domain,
+        config: &ScrapeConfig,
+    ) -> Result<PageRead, FetchError> {
+        let page = scrape(fetcher, domain, config)?;
+        let language = Language::detect(&page.text);
+        Ok(PageRead { page, language })
     }
 }
 

@@ -7,7 +7,11 @@
 //! output equals the oracle's on every page of three standard worlds for
 //! the ML, Zvelo and lossless translators, and on random mangled texts
 //! wherever the oracle returns at all: the oracle slices non-ASCII words at
-//! a byte offset and panics when that offset falls inside a char.
+//! a byte offset and panics when that offset falls inside a char. Both
+//! entry points are pinned: `translate`, which detects the language
+//! itself, and `translate_as` given `Language::detect` of the text, as the
+//! pipeline's one `PageRead` per record hands it to the ML and Zvelo
+//! translators.
 //!
 //! `Language::mangle_text`, which the site generator uses to write a
 //! foreign page, copies each word and its marker into one buffer; it is
@@ -23,7 +27,7 @@
 //! pinned to counting all of them on the same texts.
 
 use asdb_model::WorldSeed;
-use asdb_websim::scraper::{scrape, ScrapeConfig, ScrapeResult};
+use asdb_websim::scraper::{scrape, PageRead, ScrapeConfig, ScrapeResult};
 use asdb_websim::{Language, Translator};
 use asdb_worldgen::{World, WorldConfig};
 use rand::check::{self, any_string, class_string, vec_of};
@@ -189,9 +193,19 @@ fn translate_matches_oracle_on_standard_worlds() {
             };
             let lang = Language::detect(&page.text);
             assert_eq!(lang, oracle::detect(&page.text), "seed {s}, {domain}");
+            let read = PageRead::read(&w.web, domain, &ScrapeConfig::default());
+            assert_eq!(
+                read,
+                Ok(PageRead {
+                    page: page.clone(),
+                    language: lang,
+                }),
+                "seed {s}, {domain}"
+            );
             foreign += usize::from(lang != Language::English);
             for (name, tr, loss, seed) in &translators {
-                let got = tr.translate(&page.text);
+                let got = tr.translate_as(&page.text, lang);
+                assert_eq!(got, tr.translate(&page.text), "seed {s}, {domain}");
                 // English text comes back borrowed, not copied.
                 assert_eq!(
                     matches!(got, Cow::Borrowed(_)),
@@ -272,6 +286,7 @@ fn translate_matches_oracle_wherever_it_returns() {
     check::cases(2_048, arb_text, |text| {
         for (tr, loss, seed) in &translators {
             let got = tr.translate(&text);
+            assert_eq!(tr.translate_as(&text, Language::detect(&text)), got);
             match catch_unwind(AssertUnwindSafe(|| oracle::translate(*loss, *seed, &text))) {
                 Ok(want) => {
                     assert_eq!(got, want);
